@@ -171,31 +171,16 @@ impl Alya {
     }
 
     /// Fig. 8 — average time step.
-    pub fn figure8(&self) -> Figure {
-        self.figure8_cached(&Cache::new())
-    }
-
-    /// Fig. 8 with a shared sub-result cache.
     pub fn figure8_cached(&self, cache: &Cache) -> Figure {
         self.scaling_figure(cache, "fig8", "Alya: scalability (average time step)", None)
     }
 
     /// Fig. 9 — assembly phase.
-    pub fn figure9(&self) -> Figure {
-        self.figure9_cached(&Cache::new())
-    }
-
-    /// Fig. 9 with a shared sub-result cache.
     pub fn figure9_cached(&self, cache: &Cache) -> Figure {
         self.scaling_figure(cache, "fig9", "Alya: Assembly phase", Some("assembly"))
     }
 
     /// Fig. 10 — solver phase.
-    pub fn figure10(&self) -> Figure {
-        self.figure10_cached(&Cache::new())
-    }
-
-    /// Fig. 10 with a shared sub-result cache.
     pub fn figure10_cached(&self, cache: &Cache) -> Figure {
         self.scaling_figure(cache, "fig10", "Alya: Solver phase", Some("solver"))
     }
@@ -301,7 +286,7 @@ mod tests {
     #[test]
     fn both_machines_scale() {
         let a = Alya::test_case_b();
-        let f = a.figure8();
+        let f = a.figure8_cached(&Cache::new());
         for s in &f.series {
             assert!(s.is_non_increasing(0.08), "{} must scale", s.label);
         }

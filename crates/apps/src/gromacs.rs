@@ -160,11 +160,6 @@ impl Gromacs {
     }
 
     /// Fig. 12 — single-node scalability: x = cores (ranks × 6 threads).
-    pub fn figure12(&self) -> Figure {
-        self.figure12_cached(&Cache::new())
-    }
-
-    /// Fig. 12 with a shared sub-result cache.
     pub fn figure12_cached(&self, cache: &Cache) -> Figure {
         let mut fig = Figure::new(
             "fig12",
@@ -185,11 +180,6 @@ impl Gromacs {
 
     /// Fig. 13 — multi-node scalability, plus the alternative 12×8
     /// configuration as dotted series.
-    pub fn figure13(&self) -> Figure {
-        self.figure13_cached(&Cache::new())
-    }
-
-    /// Fig. 13 with a shared sub-result cache.
     pub fn figure13_cached(&self, cache: &Cache) -> Figure {
         let mut fig = Figure::new(
             "fig13",
@@ -313,10 +303,10 @@ mod tests {
     #[test]
     fn figures_are_well_formed() {
         let g = Gromacs::lignocellulose_rf();
-        let f12 = g.figure12();
+        let f12 = g.figure12_cached(&Cache::new());
         assert_eq!(f12.series.len(), 2);
         assert_eq!(f12.series[0].points.len(), 8);
-        let f13 = g.figure13();
+        let f13 = g.figure13_cached(&Cache::new());
         assert_eq!(f13.series.len(), 4, "default + alt per machine");
     }
 }

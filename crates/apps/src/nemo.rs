@@ -110,11 +110,6 @@ impl Nemo {
     }
 
     /// Fig. 11 — execution time vs nodes (log–log in the paper).
-    pub fn figure11(&self) -> Figure {
-        self.figure11_cached(&Cache::new())
-    }
-
-    /// Fig. 11 with a shared sub-result cache.
     pub fn figure11_cached(&self, cache: &Cache) -> Figure {
         let mut fig = Figure::new("fig11", "NEMO: scalability", "nodes", "execution time [s]");
         for cluster in Cluster::BOTH {
@@ -200,7 +195,7 @@ mod tests {
 
     #[test]
     fn figure_is_well_formed() {
-        let f = Nemo::bench_orca1().figure11();
+        let f = Nemo::bench_orca1().figure11_cached(&Cache::new());
         assert_eq!(f.series.len(), 2);
         assert_eq!(f.series[0].points.len(), 11);
         assert_eq!(f.series[1].points.len(), 7);

@@ -143,11 +143,6 @@ impl OpenIfs {
     }
 
     /// Fig. 14 — single-node study with TL255L91: x = MPI ranks.
-    pub fn figure14() -> Figure {
-        Self::figure14_cached(&Cache::new())
-    }
-
-    /// Fig. 14 with a shared sub-result cache.
     pub fn figure14_cached(cache: &Cache) -> Figure {
         let input = Self::tl255l91();
         let mut fig = Figure::new(
@@ -168,11 +163,6 @@ impl OpenIfs {
     }
 
     /// Fig. 15 — multi-node study with TC0511L91: x = nodes.
-    pub fn figure15() -> Figure {
-        Self::figure15_cached(&Cache::new())
-    }
-
-    /// Fig. 15 with a shared sub-result cache.
     pub fn figure15_cached(cache: &Cache) -> Figure {
         let input = Self::tc0511l91();
         let mut fig = Figure::new(
@@ -267,7 +257,7 @@ mod tests {
 
     #[test]
     fn both_machines_scale_single_node() {
-        let f = OpenIfs::figure14();
+        let f = OpenIfs::figure14_cached(&Cache::new());
         for s in &f.series {
             assert!(s.is_non_increasing(0.05), "{} must scale", s.label);
         }
@@ -275,10 +265,10 @@ mod tests {
 
     #[test]
     fn figures_are_well_formed() {
-        let f14 = OpenIfs::figure14();
+        let f14 = OpenIfs::figure14_cached(&Cache::new());
         assert_eq!(f14.series.len(), 2);
         assert_eq!(f14.series[0].points.len(), 6);
-        let f15 = OpenIfs::figure15();
+        let f15 = OpenIfs::figure15_cached(&Cache::new());
         assert_eq!(f15.series.len(), 2);
         assert_eq!(f15.series[0].points.len(), 5);
         assert_eq!(f15.series[1].points.len(), 7);

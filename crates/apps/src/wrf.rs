@@ -118,11 +118,6 @@ impl Wrf {
     }
 
     /// Fig. 16 — scalability with IO enabled and disabled.
-    pub fn figure16(&self) -> Figure {
-        self.figure16_cached(&Cache::new())
-    }
-
-    /// Fig. 16 with a shared sub-result cache.
     pub fn figure16_cached(&self, cache: &Cache) -> Figure {
         let mut fig = Figure::new(
             "fig16",
@@ -219,7 +214,7 @@ mod tests {
     #[test]
     fn scales_with_nodes() {
         let w = Wrf::iberia_4km();
-        let f = w.figure16();
+        let f = w.figure16_cached(&Cache::new());
         assert_eq!(f.series.len(), 4);
         for s in &f.series {
             assert!(s.is_non_increasing(0.05), "{} must scale", s.label);

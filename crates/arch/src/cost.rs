@@ -18,75 +18,12 @@
 //! quality), and `B_share` the cores' share of the node's sustained memory
 //! bandwidth.
 
-use crate::cachesim::{CacheSim, HierarchyConfig, Trace};
 use crate::compiler::Compiler;
 use crate::cpu::CoreModel;
 use crate::isa::Precision;
 use crate::memory::MemoryModel;
 use serde::{Deserialize, Serialize};
 use simkit::units::{Bandwidth, Bytes, Flops, Time};
-
-/// Strategy for turning a symbolic access trace into main-memory traffic.
-///
-/// Two implementations ship: [`FlatRoofline`] (the element-granular
-/// analytic count this crate always used — kept as the fallback and as the
-/// differential-testing oracle) and [`CacheSimModel`] (line-accurate
-/// traffic from [`crate::cachesim`]). On pure streaming traces both agree
-/// exactly; they diverge precisely where reuse or write-allocate effects
-/// exist, which is what the differential tests pin.
-pub trait TrafficModel {
-    /// Model name for reports.
-    fn model_name(&self) -> &'static str;
-    /// Predicted DRAM bytes for one execution of `trace`.
-    fn dram_bytes(&self, trace: &Trace) -> f64;
-}
-
-/// The flat analytic byte count: every access costs its element size.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlatRoofline;
-
-impl TrafficModel for FlatRoofline {
-    fn model_name(&self) -> &'static str {
-        "flat-roofline"
-    }
-
-    fn dram_bytes(&self, trace: &Trace) -> f64 {
-        trace.nominal_bytes() as f64
-    }
-}
-
-/// Line-accurate traffic from the parametric cache simulator.
-#[derive(Debug, Clone)]
-pub struct CacheSimModel {
-    /// Hierarchy to simulate.
-    pub cfg: HierarchyConfig,
-}
-
-impl CacheSimModel {
-    /// Simulator over the A64FX per-core hierarchy slice.
-    pub fn a64fx() -> Self {
-        Self {
-            cfg: HierarchyConfig::a64fx_core(),
-        }
-    }
-
-    /// Simulator over the Skylake per-core hierarchy slice.
-    pub fn skylake() -> Self {
-        Self {
-            cfg: HierarchyConfig::skylake_core(),
-        }
-    }
-}
-
-impl TrafficModel for CacheSimModel {
-    fn model_name(&self) -> &'static str {
-        "cachesim"
-    }
-
-    fn dram_bytes(&self, trace: &Trace) -> f64 {
-        CacheSim::new(self.cfg.clone()).run(trace).dram_bytes() as f64
-    }
-}
 
 /// Engaged-vector efficiency implied by a kernel's gather mix: unit-stride
 /// lanes run at full width while gathered elements serialize to roughly
@@ -179,20 +116,6 @@ impl KernelProfile {
             .with_vectorizable(0.95)
             .with_tuned(true)
             .with_vector_efficiency(gather_vector_efficiency(0.0, 8.0))
-    }
-
-    /// Build a profile whose memory traffic comes from a [`TrafficModel`]
-    /// applied to the kernel's symbolic trace and whose engaged-vector
-    /// efficiency comes from the trace's gather mix — nothing hand-tuned.
-    pub fn from_trace(
-        name: impl Into<String>,
-        flops: f64,
-        trace: &Trace,
-        model: &dyn TrafficModel,
-    ) -> Self {
-        let mix = trace.op_mix();
-        Self::dp(name, flops, model.dram_bytes(trace))
-            .with_vector_efficiency(gather_vector_efficiency(mix.gather_fraction(), 8.0))
     }
 }
 
@@ -506,38 +429,6 @@ mod tests {
         // same order of magnitude, unlike the ~28× model-byte ratio.
         let ratio = spmv_csr_moved_bytes(n, nnz) / spmv_stencil_moved_bytes(n);
         assert!(ratio > 2.0 && ratio < 4.0, "moved ratio {ratio}");
-    }
-
-    #[test]
-    fn traffic_models_agree_on_streams_only() {
-        use crate::cachesim::TraceBuilder;
-        let n = 1u64 << 16;
-        let mut t = TraceBuilder::new("copy");
-        let src = t.array("src", 8 * n);
-        let dst = t.array("dst", 8 * n);
-        t.open(n);
-        t.read(src, 0, &[8]);
-        t.write(dst, 0, &[8]);
-        t.close();
-        let copy = t.build();
-        let flat = FlatRoofline.dram_bytes(&copy);
-        let simmed = CacheSimModel::a64fx().dram_bytes(&copy);
-        assert_eq!(flat, simmed, "pure streams must agree exactly");
-
-        // A reuse loop breaks the agreement: flat double-counts the
-        // second pass, the simulator sees cache hits.
-        let m = 2048u64; // 16 KiB, L1-resident
-        let mut t = TraceBuilder::new("reread");
-        let x = t.array("x", 8 * m);
-        t.open(4);
-        t.open(m);
-        t.read(x, 0, &[0, 8]);
-        t.close();
-        t.close();
-        let reread = t.build();
-        let flat = FlatRoofline.dram_bytes(&reread);
-        let simmed = CacheSimModel::a64fx().dram_bytes(&reread);
-        assert!(simmed < flat / 3.0, "reuse must show: {simmed} vs {flat}");
     }
 
     #[test]

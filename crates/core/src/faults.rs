@@ -464,7 +464,7 @@ pub fn run_campaign(ctx: &Ctx, campaign: &Campaign, jobs: usize) -> CampaignRepo
 //
 // The F-series campaigns above lean on the O(n²) Fig.-4 pairwise map —
 // fine at CTE-Arm's 192 nodes, unrunnable at Fugaku scale, where the map
-// alone would be 2.5 × 10¹⁰ probes and the dense routing table ~100 GB.
+// alone would be 2.5 × 10¹⁰ probes and a dense all-pairs table ~100 GB.
 // The scale campaign replaces both:
 //
 // * routes resolve through the network's symmetry-folded pair table
@@ -596,7 +596,9 @@ pub fn run_scale_campaign(topo: TofuD, generated_trials: usize, seed: u64) -> Sc
 
     let base_net = Network::new(topo.clone(), LinkModel::tofud());
     let t1 = Instant::now();
-    let table = base_net.routing_table();
+    let table = base_net
+        .routing_table()
+        .expect("TofuD networks fold their pair table");
     let table_build_ms = t1.elapsed().as_secs_f64() * 1e3;
     let table_bytes = table.memory_bytes();
     let base_bw = probe_battery(&base_net);

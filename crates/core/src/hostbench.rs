@@ -10,16 +10,15 @@
 //! `host.cores` field says what hardware a snapshot came from, so numbers
 //! from a 1-core CI container and a 48-core A64FX node are never confused).
 //!
-//! Kernel measurements use calibrated best-of-k timing: one warm-up call
-//! estimates the kernel's wall time, reps are auto-scaled so every timed
+//! Every measurement uses calibrated best-of-k timing: one warm-up call
+//! estimates the closure's wall time, reps are auto-scaled so every timed
 //! batch runs at least [`TARGET_BATCH_SECS`], and the reported number is
 //! the best per-rep time over [`BATCHES`] batches. That keeps a
 //! microsecond kernel from being timed as a single clock-granularity
 //! sample, so run-to-run deltas in `BENCH_host.json` reflect the code, not
 //! the timer. The kernels themselves are the real `crates/kernels`
 //! implementations, so these numbers move when the runtime or the kernels
-//! do. (The interconnect rows keep the simpler fixed-rep `time_best` —
-//! their loop bodies already aggregate thousands of route resolutions.)
+//! do.
 
 use crate::engine::Ctx;
 use crate::serve::{open_store, respond, run_batch};
@@ -30,7 +29,6 @@ use interconnect::folded::FoldedTable;
 use interconnect::link::LinkModel;
 use interconnect::network::Network;
 use interconnect::routing::{all_pairs_loads, RouteSteps};
-use interconnect::table::RoutingTable;
 use interconnect::tofu::{TofuD, DIMS};
 use interconnect::topology::{NodeId, Topology};
 use kernels::cg::{build_hpcg_matrix, symgs};
@@ -42,9 +40,6 @@ use kernels::stencil::OceanGrid;
 use kernels::stencil_matrix::StencilMatrix;
 use kernels::stream::{StreamArrays, StreamKernel};
 use std::time::Instant;
-
-/// Best-of trials per measurement (legacy fixed-rep network rows).
-const TRIALS: usize = 3;
 
 /// Minimum wall time a calibrated timed batch should cover. Long enough
 /// to amortize timer granularity and scheduling jitter, short enough that
@@ -112,15 +107,14 @@ impl KernelBench {
 }
 
 /// Interconnect fast-path measurements: per-message route-cost resolution
-/// (before/after the memoized table), route-step enumeration rate, routing
-/// table construction cost, and the parallel all-pairs link-load sweep at
-/// one worker vs. the full pool.
+/// (before/after the memoized table), route-step enumeration rate, and the
+/// parallel all-pairs link-load sweep at one worker vs. the full pool.
 #[derive(Debug, Clone)]
 pub struct NetworkBench {
     /// Topology the route-rate numbers come from.
     pub route_topology: String,
     /// Routes resolved per second through `Network::path_cost` with the
-    /// memoized [`RoutingTable`] built — the per-message fast path every
+    /// memoized [`FoldedTable`] built — the per-message fast path every
     /// `message_time` call rides.
     pub routes_per_sec: f64,
     /// The same query stream answered the pre-change way: `path_cost`
@@ -132,8 +126,6 @@ pub struct NetworkBench {
     /// Full-route step enumeration rate: the non-allocating `RouteSteps`
     /// iterator walked to completion over every ordered pair.
     pub route_enum_per_sec: f64,
-    /// Wall time to build the memoized [`RoutingTable`], microseconds.
-    pub table_build_us: f64,
     /// Topology the link-load sweep runs on.
     pub sweep_topology: String,
     /// All-pairs link-load sweep wall time with a 1-worker pool, ms.
@@ -483,16 +475,6 @@ pub fn run_sched_bench() -> SchedBench {
     }
 }
 
-fn time_best<F: FnMut()>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Run `measure` under a pool fixed to `threads` workers.
 fn with_pool<R>(threads: usize, measure: impl FnOnce() -> R) -> R {
     rayon::ThreadPoolBuilder::new()
@@ -578,81 +560,63 @@ fn topo_label(t: &TofuD) -> String {
 /// what makes it the in-situ baseline.
 fn bench_resolve_rate(net: &Network<TofuD>) -> f64 {
     let n = net.topology().nodes();
-    let reps = 20;
-    let secs = time_best(|| {
+    let secs = calibrated_best(|| {
         let mut hop_sink = 0u64;
         let mut share_sink = 0.0f64;
-        for _ in 0..reps {
-            for a in 0..n {
-                for b in 0..n {
-                    if a != b {
-                        let c = net.path_cost(NodeId(a), NodeId(b));
-                        hop_sink = hop_sink.wrapping_add(c.hops as u64);
-                        share_sink += c.sharing;
-                    }
+        for a in 0..n {
+            for b in 0..n {
+                if a != b {
+                    let c = net.path_cost(NodeId(a), NodeId(b));
+                    hop_sink = hop_sink.wrapping_add(c.hops as u64);
+                    share_sink += c.sharing;
                 }
             }
         }
         std::hint::black_box((hop_sink, share_sink));
     });
-    (reps * n * (n - 1)) as f64 / secs
+    (n * (n - 1)) as f64 / secs
 }
 
 /// Step-enumeration rate: walk the non-allocating step iterator over every
-/// ordered pair of the CTE-Arm torus, repeated enough to dominate timer
-/// noise. Uses the same decode-free constructor the all-pairs sweeps use.
+/// ordered pair of the CTE-Arm torus. Uses the same decode-free
+/// constructor the all-pairs sweeps use.
 fn bench_route_enum_rate(topo: &TofuD) -> f64 {
     let n = topo.nodes();
-    let reps = 20;
-    let secs = time_best(|| {
+    let secs = calibrated_best(|| {
         let mut sink = 0u64;
-        for _ in 0..reps {
-            for s in 0..n {
-                let src = NodeId(s);
-                let sc = topo.coords(src);
-                let mut dc = [0usize; DIMS];
-                for r in 0..n {
-                    if r != s {
-                        sink = RouteSteps::from_coords(topo, src, sc, dc)
-                            .fold(sink, |acc, step| acc.wrapping_add(step.to.index() as u64));
-                    }
-                    topo.advance_coords(&mut dc);
+        for s in 0..n {
+            let src = NodeId(s);
+            let sc = topo.coords(src);
+            let mut dc = [0usize; DIMS];
+            for r in 0..n {
+                if r != s {
+                    sink = RouteSteps::from_coords(topo, src, sc, dc)
+                        .fold(sink, |acc, step| acc.wrapping_add(step.to.index() as u64));
                 }
+                topo.advance_coords(&mut dc);
             }
         }
         std::hint::black_box(sink);
     });
-    (reps * n * (n - 1)) as f64 / secs
-}
-
-/// Microseconds to build the memoized distance/sharing table.
-fn bench_table_build(topo: &TofuD) -> f64 {
-    time_best(|| {
-        std::hint::black_box(RoutingTable::build(topo));
-    }) * 1e6
+    (n * (n - 1)) as f64 / secs
 }
 
 /// Folded-table resolutions per second: stream the all-pairs decode loop
 /// (two array reads + unpack per ordered pair, self-pairs included) over a
-/// table that fits in cache, repeated to dominate timer noise.
+/// table that fits in cache.
 fn bench_folded_resolve_rate(topo: &TofuD) -> f64 {
     let t = FoldedTable::build(topo);
     let n = t.nodes();
-    let reps = 200;
-    let secs = time_best(|| {
-        let mut sink = 0u64;
-        for _ in 0..reps {
-            sink = sink.wrapping_add(t.checksum_all_pairs());
-        }
-        std::hint::black_box(sink);
+    let secs = calibrated_best(|| {
+        std::hint::black_box(t.checksum_all_pairs());
     });
-    (reps * n * n) as f64 / secs
+    (n * n) as f64 / secs
 }
 
 /// Closed-form uniform-traffic sweep wall time (ms): per-link loads with
 /// max/mean plus the machine-wide mean hop distance.
 fn bench_closed_sweep(topo: &TofuD) -> f64 {
-    time_best(|| {
+    calibrated_best(|| {
         let load = interconnect::sweep::uniform_link_load(topo);
         let hops = interconnect::sweep::uniform_mean_hops(topo);
         std::hint::black_box((load, hops));
@@ -662,22 +626,16 @@ fn bench_closed_sweep(topo: &TofuD) -> f64 {
 /// All-pairs link-load sweep wall time (ms) under a pool of `threads`.
 fn bench_sweep(topo: &TofuD, threads: usize) -> f64 {
     with_pool(threads, || {
-        let mut best = f64::INFINITY;
-        for _ in 0..2 {
-            let t0 = Instant::now();
-            let load = all_pairs_loads(topo);
-            std::hint::black_box(load.max_mean());
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best * 1e3
+        calibrated_best(|| {
+            std::hint::black_box(all_pairs_loads(topo).max_mean());
+        }) * 1e3
     })
 }
 
 /// Measure the interconnect fast path on the 192-node CTE-Arm torus:
 /// per-message cost resolution before (direct fallback) and after (memoized
-/// table) the fast path, step enumeration, table construction, and the
-/// all-pairs link-load sweep on a 1536-node TofuD at 1 worker vs. the full
-/// pool.
+/// folded table) the fast path, step enumeration, and the all-pairs
+/// link-load sweep on a 1536-node TofuD at 1 worker vs. the full pool.
 pub fn run_network_bench(pool_threads: usize) -> NetworkBench {
     let small = TofuD::cte_arm();
     let big = TofuD::with_dims([8, 4, 4, 2, 3, 2], [true, true, true, false, true, false]);
@@ -690,7 +648,7 @@ pub fn run_network_bench(pool_threads: usize) -> NetworkBench {
     let direct = Network::new(TofuD::cte_arm(), LinkModel::tofud());
     let cached = Network::new(TofuD::cte_arm(), LinkModel::tofud());
     cached.routing_table();
-    let folded_build_ms = time_best(|| {
+    let folded_build_ms = calibrated_best(|| {
         std::hint::black_box(FoldedTable::build(&fugaku));
     }) * 1e3;
     NetworkBench {
@@ -698,7 +656,6 @@ pub fn run_network_bench(pool_threads: usize) -> NetworkBench {
         routes_per_sec: bench_resolve_rate(&cached),
         baseline_routes_per_sec: bench_resolve_rate(&direct),
         route_enum_per_sec: bench_route_enum_rate(&small),
-        table_build_us: bench_table_build(&small),
         sweep_topology: topo_label(&big),
         sweep_ms_1t: bench_sweep(&big, 1),
         sweep_ms_nt: bench_sweep(&big, pool_threads),
@@ -788,19 +745,19 @@ pub fn run_kernel_benches(pool_threads: usize) -> Vec<KernelBench> {
         (
             "spmv_csr",
             "GFLOP/s",
-            "HPCG 24x24x24 27-point, 20 reps".into(),
+            "HPCG 24x24x24 27-point".into(),
             bench_spmv,
         ),
         (
             "spmv_stencil",
             "GFLOP/s",
-            "HPCG 24x24x24 stencil-packed, 20 reps".into(),
+            "HPCG 24x24x24 stencil-packed".into(),
             bench_spmv_stencil,
         ),
         (
             "stencil_ocean",
             "GB/s",
-            "512x256 shallow-water, 10 steps".into(),
+            "512x256 shallow-water".into(),
             bench_stencil,
         ),
         (
@@ -982,10 +939,6 @@ impl HostBench {
             nw.route_enum_per_sec
         ));
         out.push_str(&format!(
-            "    \"table_build_us\": {:.1},\n",
-            nw.table_build_us
-        ));
-        out.push_str(&format!(
             "    \"sweep_topology\": \"{}\",\n",
             nw.sweep_topology
         ));
@@ -1062,7 +1015,6 @@ mod tests {
             routes_per_sec: 5.0e7,
             baseline_routes_per_sec: 1.0e7,
             route_enum_per_sec: 2.0e7,
-            table_build_us: 120.0,
             sweep_topology: "TofuD [8, 4, 4, 2, 3, 2] (1536 nodes)".into(),
             sweep_ms_1t: 200.0,
             sweep_ms_nt: 50.0,

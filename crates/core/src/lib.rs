@@ -40,5 +40,4 @@ pub use experiments::{all_experiments, run, Artifact, Experiment};
 pub use extensions::{extension_experiments, run_extension};
 pub use faults::{campaign, campaigns, run_campaign, Campaign, CampaignReport};
 pub use serve::{model_code_hash, Query, ServeSummary};
-pub use speedup::speedup_table;
 pub use validation::validation_report;

@@ -64,11 +64,6 @@ fn row(name: &str, measured: &[usize], f: impl Fn(usize) -> Cell) -> (String, Ve
     (name.to_string(), cells)
 }
 
-/// Compute the full Table-IV matrix with a fresh cache.
-pub fn speedup_cells() -> Vec<(String, Vec<Cell>)> {
-    speedup_cells_cached(&Cache::new())
-}
-
 /// Compute the full Table-IV matrix, reusing sub-results from `cache` —
 /// every cell revisits a run some figure's sweep already performed.
 pub fn speedup_cells_cached(cache: &Cache) -> Vec<(String, Vec<Cell>)> {
@@ -176,11 +171,6 @@ pub fn speedup_cells_cached(cache: &Cache) -> Vec<(String, Vec<Cell>)> {
     rows
 }
 
-/// Render Table IV with a fresh cache.
-pub fn speedup_table() -> Table {
-    speedup_table_cached(&Cache::new())
-}
-
 /// Render Table IV, reusing sub-results from `cache`.
 pub fn speedup_table_cached(cache: &Cache) -> Table {
     let mut columns = vec!["Application".to_string()];
@@ -213,7 +203,7 @@ mod tests {
         // cells and WRF's measured drift are known deviations (our MD comm
         // model keeps the gap flat; see EXPERIMENTS.md), so the tightest
         // checks sit on the cells the models target directly.
-        let rows = speedup_cells();
+        let rows = speedup_cells_cached(&Cache::new());
         let close = |c: Cell, want: f64, tol: f64, what: &str| {
             let got = c
                 .value()
@@ -235,7 +225,7 @@ mod tests {
 
     #[test]
     fn np_cells_match_paper() {
-        let rows = speedup_cells();
+        let rows = speedup_cells_cached(&Cache::new());
         assert_eq!(cell(&rows, "Alya", 1), Cell::NotPossible);
         assert_eq!(cell(&rows, "NEMO", 1), Cell::NotPossible);
         assert_eq!(cell(&rows, "OpenIFS", 16), Cell::NotPossible);
@@ -245,7 +235,7 @@ mod tests {
     fn benchmarks_favor_cte_apps_favor_mn4() {
         // The paper's headline: synthetic benchmarks speed up (> 1),
         // applications slow down (< 1).
-        let rows = speedup_cells();
+        let rows = speedup_cells_cached(&Cache::new());
         for (name, cells) in &rows {
             for c in cells {
                 if let Cell::Speedup(s) = c {
@@ -261,7 +251,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let t = speedup_table();
+        let t = speedup_table_cached(&Cache::new());
         assert_eq!(t.columns.len(), 7);
         assert_eq!(t.rows.len(), 7);
         let text = t.to_text();

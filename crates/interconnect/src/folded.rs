@@ -1,11 +1,11 @@
 //! Symmetry-folded routing metadata for the TofuD torus.
 //!
-//! The dense [`RoutingTable`](crate::table::RoutingTable) stores 4 bytes
-//! per *ordered node pair* — fast at CTE-Arm's 192 nodes, but ~100 GB at
-//! Fugaku's 158,976. On a TofuD torus the table is massively redundant:
-//! dimension-ordered minimal routing makes both `hops(a, b)` and
-//! `sharing(a, b)` functions of the per-dimension **coordinate offset**
-//! `b_i − a_i` alone, never of the absolute position. A [`FoldedTable`]
+//! A dense all-pairs memo would store 4 bytes per *ordered node pair* —
+//! fine at CTE-Arm's 192 nodes, but ~100 GB at Fugaku's 158,976. On a
+//! TofuD torus such a table is massively redundant: dimension-ordered
+//! minimal routing makes both `hops(a, b)` and `sharing(a, b)` functions
+//! of the per-dimension **coordinate offset** `b_i − a_i` alone, never of
+//! the absolute position. A [`FoldedTable`]
 //! therefore stores one entry per *offset class* — `Π (2·ext_i − 1)`
 //! entries, the product of the extents' signed-offset ranges — instead of
 //! one per pair. Fugaku's `[24, 23, 24, 2, 3, 2]` shape folds from
@@ -14,9 +14,9 @@
 //! ## Carry-free decode
 //!
 //! Resolving a pair must not cost a coordinate decode (twelve integer
-//! divisions), or the fold would lose to the dense table it replaces. The
-//! trick is a mixed-radix *offset encoding* with radix `k_i = 2·ext_i − 1`
-//! per dimension: each node gets a precomputed `u32`
+//! divisions), or the fold would lose to direct routing. The trick is a
+//! mixed-radix *offset encoding* with radix `k_i = 2·ext_i − 1` per
+//! dimension: each node gets a precomputed `u32`
 //! `enc[x] = Σ x_i · stride_i` over those radices, and the class index of
 //! `(a, b)` is
 //!
@@ -32,9 +32,9 @@
 //! modular distance), not into the index.
 //!
 //! Each entry packs the hop count (13 bits) and the sharing-class palette
-//! index (3 bits) into one `u16`, preserving the dense table's values
-//! bit-for-bit: hop counts are the same integers and sharing factors come
-//! from the same exact-`f64` palette. The dense builder remains as the
+//! index (3 bits) into one `u16`, preserving the topology's values
+//! bit-for-bit: hop counts are the same integers and sharing factors are
+//! the exact `f64`s `TofuD::sharing` returns. Direct routing is the
 //! differential oracle (see `tests/folded_table.rs`).
 
 use crate::tofu::{TofuD, DIMS};
@@ -427,7 +427,8 @@ mod tests {
         let f = FoldedTable::build(&t);
         // [4,2,2,2,3,2] → 7·3·3·3·5·3 = 2835 classes for 36 864 pairs.
         assert_eq!(f.offset_classes(), 2835);
-        assert!(f.memory_bytes() < crate::table::RoutingTable::build(&t).memory_bytes());
+        // Far below a dense memo's 4 bytes per ordered pair.
+        assert!(f.memory_bytes() < 4 * 192 * 192);
     }
 
     #[test]

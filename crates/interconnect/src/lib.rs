@@ -20,15 +20,17 @@
 //! scheduler performs, plus a random allocator for the ablation study.
 //!
 //! All-pairs analyses (route enumeration, link loads, placement scoring)
-//! run on a fast path: [`table::RoutingTable`] memoizes hop counts and
-//! sharing factors per topology, [`routing::RouteSteps`] enumerates routes
-//! without allocating, and the sweeps fan out over the rayon pool with
-//! chunk-ordered (bit-deterministic) reductions. At Fugaku scale the dense
-//! table gives way to [`folded::FoldedTable`] — one entry per coordinate
-//! *offset class* by torus translation symmetry (under 10 MB at 158,976
-//! nodes, ~100 GB dense) — and [`sweep`] prices uniform-traffic link
-//! loads, bisection crossings and mean pairwise hops in exact per-
-//! dimension closed forms, no all-pairs enumeration at all.
+//! run on a fast path. [`folded::FoldedTable`] is the one pair memo: it
+//! stores TofuD hop counts and sharing factors per coordinate *offset
+//! class* by torus translation symmetry (under 10 MB at 158,976 nodes,
+//! ~100 GB for a dense all-pairs table), and a [`network::Network`]
+//! builds it on first request. The fat tree needs no memo — its direct
+//! `hops`/`sharing` are an O(1) same-leaf test. [`routing::RouteSteps`]
+//! enumerates routes without allocating, the sweeps fan out over the
+//! rayon pool with chunk-ordered (bit-deterministic) reductions, and
+//! [`sweep`] prices uniform-traffic link loads, bisection crossings and
+//! mean pairwise hops in exact per-dimension closed forms, no all-pairs
+//! enumeration at all.
 
 #![warn(missing_docs)]
 
@@ -42,7 +44,6 @@ pub mod network;
 pub mod placement;
 pub mod routing;
 pub mod sweep;
-pub mod table;
 pub mod tofu;
 pub mod topology;
 
@@ -51,6 +52,5 @@ pub use faults::{Fault, FaultPlan, FaultSpec};
 pub use folded::FoldedTable;
 pub use link::LinkModel;
 pub use network::{Degradation, Network, PathCost};
-pub use table::{PairTable, RoutingTable};
 pub use tofu::TofuD;
 pub use topology::{NodeId, Topology};

@@ -1,7 +1,7 @@
 //! A network: topology + link model + per-node health + measurement noise.
 
+use crate::folded::FoldedTable;
 use crate::link::LinkModel;
-use crate::table::PairTable;
 use crate::topology::{check_node, NodeId, Topology};
 use simkit::rng::Pcg32;
 use simkit::units::{Bandwidth, Bytes, Time};
@@ -99,9 +99,9 @@ pub struct Network<T: Topology> {
     /// Lognormal sigma of dynamic-contention noise for messages ≥ 1 MiB.
     /// The paper observes high run-to-run variability only above 2^20 B.
     large_msg_noise: f64,
-    /// Memoized hop/sharing pair table, built on first request. The
-    /// variant is topology-selected: folded on tori, dense elsewhere.
-    table: OnceLock<PairTable>,
+    /// Memoized hop/sharing pair table, built on first request; `None`
+    /// for topologies that answer pairs in O(1) directly.
+    table: OnceLock<Option<FoldedTable>>,
 }
 
 impl<T: Topology> Network<T> {
@@ -223,20 +223,18 @@ impl<T: Topology> Network<T> {
     /// The memoized hop/sharing table, built on first request. Sweeps that
     /// price every pair (the Fig. 4 map, link-load analysis) use it to
     /// avoid re-deriving the route per message; one-off messages never pay
-    /// the build. The topology picks the representation
+    /// the build. The topology decides whether there is one
     /// ([`Topology::pair_table`]): TofuD folds by translation symmetry, so
-    /// even a full-Fugaku network stays under 10 MB here.
-    pub fn routing_table(&self) -> &PairTable
-    where
-        T: Sync,
-    {
-        self.table.get_or_init(|| self.topo.pair_table())
+    /// even a full-Fugaku network stays under 10 MB here, while the fat
+    /// tree's direct O(1) queries need no table (`None`).
+    pub fn routing_table(&self) -> Option<&FoldedTable> {
+        self.table.get_or_init(|| self.topo.pair_table()).as_ref()
     }
 
     /// The memoized table if some caller has already built it, without
     /// triggering the build.
-    pub fn table_if_built(&self) -> Option<&PairTable> {
-        self.table.get()
+    pub fn table_if_built(&self) -> Option<&FoldedTable> {
+        self.table.get().and_then(Option::as_ref)
     }
 
     /// Resolve the size-independent cost parameters of one path. Uses the
@@ -255,7 +253,7 @@ impl<T: Topology> Network<T> {
                 local: true,
             };
         }
-        let (hops, sharing) = match self.table.get() {
+        let (hops, sharing) = match self.table_if_built() {
             Some(t) => (t.hops(from, to), t.sharing(from, to)),
             None => (self.topo.hops(from, to), self.topo.sharing(from, to)),
         };
@@ -325,13 +323,11 @@ impl<T: Topology> Network<T> {
     /// The full node-pair bandwidth map at one message size (Fig. 4):
     /// `map[sender][receiver]` in GB/s. The diagonal (self-pairs) is 0.
     ///
-    /// Prices every ordered pair, so the memoized routing table is built
-    /// first; the RNG consumption stays strictly sequential, keeping the
-    /// map bit-identical to the pre-table implementation.
-    pub fn pairwise_bandwidth_map(&self, bytes: Bytes, rng: &mut Pcg32) -> Vec<Vec<f64>>
-    where
-        T: Sync,
-    {
+    /// Prices every ordered pair, so the topology's memoized routing
+    /// table, if it has one, is built first; the RNG consumption stays
+    /// strictly sequential, keeping the map bit-identical to the
+    /// pre-table implementation.
+    pub fn pairwise_bandwidth_map(&self, bytes: Bytes, rng: &mut Pcg32) -> Vec<Vec<f64>> {
         self.routing_table();
         let n = self.topo.nodes();
         let mut map = vec![vec![0.0; n]; n];

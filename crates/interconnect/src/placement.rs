@@ -70,9 +70,9 @@ pub fn mean_pairwise_hops<T: Topology + Sync>(topo: &T, nodes: &[NodeId]) -> f64
 /// The O(n²) pair scan fans out over the rayon pool, one outer node per
 /// task; hop counts accumulate in integers and the per-chunk partials are
 /// combined in chunk order, so the result is bit-identical to the
-/// sequential scan at every thread count. Score large sweeps against a
-/// [`crate::table::RoutingTable`] (itself a [`Topology`]) to make each
-/// `hops` query a flat lookup.
+/// sequential scan at every thread count. Score large TofuD sweeps against
+/// a [`crate::folded::FoldedTable`] (itself a [`Topology`]) to make each
+/// `hops` query two array loads.
 pub fn mean_pairwise_hops_dense<T: Topology + Sync>(topo: &T, nodes: &[NodeId]) -> f64 {
     if nodes.len() < 2 {
         return 0.0;

@@ -161,8 +161,8 @@ impl Topology for TofuD {
     /// Torus translation symmetry folds the pair table to one entry per
     /// coordinate-offset class — memory independent of the pair count, so
     /// full-Fugaku networks stay under 10 MB instead of ~100 GB dense.
-    fn pair_table(&self) -> crate::table::PairTable {
-        crate::table::PairTable::Folded(crate::folded::FoldedTable::build(self))
+    fn pair_table(&self) -> Option<crate::folded::FoldedTable> {
+        Some(crate::folded::FoldedTable::build(self))
     }
 }
 

@@ -64,17 +64,14 @@ pub trait Topology {
     }
 
     /// Build the memoized pair table a `Network` consults on its fast
-    /// path. Defaults to the dense all-pairs
-    /// [`RoutingTable`](crate::table::RoutingTable); topologies with
-    /// translation symmetry override this to return a folded table whose
-    /// memory is independent of the pair count (TofuD folds 158,976-node
-    /// Fugaku from ~100 GB dense to under 10 MB). Either way the table
-    /// answers `hops`/`sharing` bit-for-bit like the topology itself.
-    fn pair_table(&self) -> crate::table::PairTable
-    where
-        Self: Sized + Sync,
-    {
-        crate::table::PairTable::Dense(crate::table::RoutingTable::build(self))
+    /// path. `None` (the default) keeps the network on the topology's own
+    /// `hops`/`sharing`, which is right whenever those are already O(1)
+    /// (the fat tree's same-leaf closed form). TofuD overrides this with a
+    /// [`FoldedTable`](crate::folded::FoldedTable) whose memory is
+    /// independent of the pair count (under 10 MB at 158,976-node Fugaku)
+    /// and which answers `hops`/`sharing` bit-for-bit like the topology.
+    fn pair_table(&self) -> Option<crate::folded::FoldedTable> {
+        None
     }
 }
 

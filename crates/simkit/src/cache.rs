@@ -155,43 +155,13 @@ impl Cache {
         slots.entry(key.clone()).or_default().clone()
     }
 
-    /// Look `key` up in the memory tier, computing (and storing) the value
-    /// on first use. The persistent store is **not** consulted — use
-    /// [`Self::get_or_persistent`] for values that should survive the
-    /// process.
-    ///
-    /// Concurrent callers of the same key block until the first computation
-    /// finishes; exactly one miss is ever charged per key.
-    pub fn get_or<T, F>(&self, key: CacheKey, compute: F) -> T
-    where
-        T: Clone + Send + Sync + 'static,
-        F: FnOnce() -> T,
-    {
-        let slot = self.slot(&key);
-        let mut value = slot.lock().expect("cache slot lock");
-        match value.as_ref() {
-            Some(stored) => {
-                self.charge_mem_hit();
-                stored
-                    .downcast_ref::<T>()
-                    .unwrap_or_else(|| panic!("cache key {key:?} reused with a different type"))
-                    .clone()
-            }
-            None => {
-                let computed = compute();
-                *value = Some(Arc::new(computed.clone()));
-                self.charge_miss();
-                computed
-            }
-        }
-    }
-
     /// Two-tier lookup: memory, then the persistent store, then `compute`
     /// (whose result is written through to both tiers).
     ///
-    /// Falls back to [`Self::get_or`] semantics when no store is attached.
-    /// The disk probe and the compute run under the per-key slot lock, so
-    /// concurrent identical lookups stay single-flight across both tiers.
+    /// Without an attached store this is a memory-only memo. The disk
+    /// probe and the compute run under the per-key slot lock, so
+    /// concurrent identical lookups stay single-flight across both tiers
+    /// and exactly one miss is ever charged per key.
     /// Store write failures are not fatal: the computed value is still
     /// returned and the process continues memory-only for that key.
     pub fn get_or_persistent<T, F>(&self, key: CacheKey, compute: F) -> T
@@ -298,11 +268,11 @@ mod tests {
         let cache = Cache::new();
         let key = CacheKey::new("CTE-Arm", "alya", "nodes=16");
         let mut calls = 0;
-        let a: f64 = cache.get_or(key.clone(), || {
+        let a: f64 = cache.get_or_persistent(key.clone(), || {
             calls += 1;
             42.0
         });
-        let b: f64 = cache.get_or(key, || {
+        let b: f64 = cache.get_or_persistent(key, || {
             calls += 1;
             panic!("must not recompute")
         });
@@ -317,8 +287,9 @@ mod tests {
     #[test]
     fn distinct_keys_are_distinct_entries() {
         let cache = Cache::new();
-        for n in [1usize, 16, 32] {
-            let v: usize = cache.get_or(CacheKey::new("m", "w", format!("nodes={n}")), || n * 2);
+        for n in [1u64, 16, 32] {
+            let v: u64 =
+                cache.get_or_persistent(CacheKey::new("m", "w", format!("nodes={n}")), || n * 2);
             assert_eq!(v, n * 2);
         }
         assert_eq!(cache.misses(), 3);
@@ -334,7 +305,7 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 let computed = Arc::clone(&computed);
                 s.spawn(move || {
-                    let v: u64 = cache.get_or(CacheKey::new("m", "w", "p"), || {
+                    let v: u64 = cache.get_or_persistent(CacheKey::new("m", "w", "p"), || {
                         computed.fetch_add(1, Ordering::SeqCst);
                         7
                     });
@@ -351,8 +322,8 @@ mod tests {
     fn thread_counters_attribute_to_the_calling_thread() {
         let cache = Cache::new();
         Cache::reset_thread_counters();
-        let _: u8 = cache.get_or(CacheKey::new("m", "w", "1"), || 1);
-        let _: u8 = cache.get_or(CacheKey::new("m", "w", "1"), || 1);
+        let _: u64 = cache.get_or_persistent(CacheKey::new("m", "w", "1"), || 1);
+        let _: u64 = cache.get_or_persistent(CacheKey::new("m", "w", "1"), || 1);
         let c = Cache::thread_counters();
         assert_eq!((c.mem_hits, c.disk_hits, c.misses), (1, 0, 1));
     }
@@ -361,8 +332,8 @@ mod tests {
     #[should_panic(expected = "different type")]
     fn type_confusion_panics() {
         let cache = Cache::new();
-        let _: u64 = cache.get_or(CacheKey::new("m", "w", "p"), || 1u64);
-        let _: f64 = cache.get_or(CacheKey::new("m", "w", "p"), || 1.0f64);
+        let _: u64 = cache.get_or_persistent(CacheKey::new("m", "w", "p"), || 1u64);
+        let _: f64 = cache.get_or_persistent(CacheKey::new("m", "w", "p"), || 1.0f64);
     }
 
     fn temp_store(tag: &str) -> (Arc<Store>, std::path::PathBuf) {

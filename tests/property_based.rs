@@ -54,38 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn routing_table_agrees_with_tofu_direct(topo in tofu_strategy()) {
-        use interconnect::table::RoutingTable;
-        let table = RoutingTable::build(&topo);
-        let n = topo.nodes();
-        for a in 0..n {
-            for b in 0..n {
-                let (a, b) = (NodeId(a), NodeId(b));
-                prop_assert_eq!(table.hops(a, b), topo.hops(a, b));
-                prop_assert_eq!(table.sharing(a, b), Topology::sharing(&topo, a, b));
-            }
-        }
-        prop_assert_eq!(table.diameter(), topo.diameter());
-    }
-
-    #[test]
-    fn routing_table_agrees_with_fattree_direct(
-        nodes in 1usize..300,
-        leaf in 1usize..48,
-    ) {
-        use interconnect::table::RoutingTable;
-        let topo = FatTree::with_geometry(nodes, leaf, 2.0);
-        let table = RoutingTable::build(&topo);
-        for a in 0..nodes {
-            for b in 0..nodes {
-                let (a, b) = (NodeId(a), NodeId(b));
-                prop_assert_eq!(table.hops(a, b), topo.hops(a, b));
-                prop_assert_eq!(table.sharing(a, b), Topology::sharing(&topo, a, b));
-            }
-        }
-    }
-
-    #[test]
     fn fattree_hops_are_in_the_three_classes(
         nodes in 1usize..500,
         leaf in 1usize..64,

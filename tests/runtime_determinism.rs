@@ -295,12 +295,12 @@ fn full_cg_solve_is_bit_identical_at_1_and_8_threads() {
 #[test]
 fn topology_sweeps_are_bit_identical_at_1_2_8_threads() {
     // The interconnect fast path parallelizes three sweeps: all-pairs
-    // link-load accumulation, mean pairwise hops, and routing-table
-    // construction. All reduce in integers or fill disjoint rows, so
+    // link-load accumulation, mean pairwise hops, and folded-table
+    // construction. All reduce in integers or fill disjoint blocks, so
     // every derived float must match bit-for-bit at any pool width.
+    use interconnect::folded::FoldedTable;
     use interconnect::placement::mean_pairwise_hops;
     use interconnect::routing::{all_pairs_link_load, all_pairs_loads};
-    use interconnect::table::RoutingTable;
     use interconnect::tofu::TofuD;
     use interconnect::topology::{NodeId, Topology};
 
@@ -311,7 +311,7 @@ fn topology_sweeps_are_bit_identical_at_1_2_8_threads() {
             let load = all_pairs_loads(&topo);
             let (max, mean) = all_pairs_link_load(&topo);
             let hops = mean_pairwise_hops(&topo, &nodes);
-            let table = RoutingTable::build(&topo);
+            let table = FoldedTable::build(&topo);
             (load, max, mean, hops, table)
         })
     };
@@ -322,7 +322,7 @@ fn topology_sweeps_are_bit_identical_at_1_2_8_threads() {
         assert_eq!(max1, max);
         assert_eq!(mean1.to_bits(), mean.to_bits());
         assert_eq!(hops1.to_bits(), hops.to_bits());
-        assert_eq!(table1, table, "routing table diverged at {threads} threads");
+        assert_eq!(table1, table, "folded table diverged at {threads} threads");
     }
 }
 

@@ -136,12 +136,15 @@ fn error_lines_are_deterministic_and_in_order() {
         r#"{"queries": []}"#.to_string(),
         r#"{"id": 7, "queries": [{"app": "alya", "machine": "cte-arm", "nodes": 1}]}"#.to_string(),
         r#"{"id": 8, "queries": [{"app": "hpl", "machine": "vax", "nodes": 4}]}"#.to_string(),
+        // Hostile nesting must be an error line, not a stack overflow.
+        "[".repeat(200_000),
     ];
     let expected = [
         "{\"id\":null,\"error\":",
         "{\"id\":null,\"error\":\"request needs an integer 'id' field\"}",
         "{\"id\":7,\"results\":[{\"error\":\"alya does not fit on 1 nodes of CTE-Arm (needs >= 12)\"}]}",
         "{\"id\":8,\"results\":[{\"error\":\"unknown machine 'vax' (cte-arm | mn4)\"}]}",
+        "{\"id\":null,\"error\":\"nesting deeper than 64 levels at byte 64\"}",
     ];
     for jobs in THREAD_LADDER {
         let out = run_batch(&Ctx::new(), &lines, jobs);
