@@ -1,5 +1,6 @@
 //! Golden-snapshot regression harness: every paper artifact's canonical
-//! CSV is checked byte-for-byte against a snapshot under `tests/golden/`.
+//! CSV is checked byte-for-byte against a snapshot under `tests/golden/`,
+//! and every extension experiment's against one under `tests/golden/ext/`.
 //!
 //! The artifacts are deterministic by construction (see
 //! `tests/determinism.rs`), so any diff here is a *model change* — either
@@ -13,9 +14,10 @@
 //! ```
 
 use cluster_eval::engine::Ctx;
-use cluster_eval::experiments::all_experiments;
+use cluster_eval::experiments::{all_experiments, Experiment};
+use cluster_eval::extensions::extension_experiments;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -25,16 +27,16 @@ fn updating() -> bool {
     std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-#[test]
-fn every_artifact_matches_its_golden_snapshot() {
-    let dir = golden_dir();
+/// Diff every experiment's CSV against `dir/<id>.csv` (or rewrite the
+/// snapshots under `UPDATE_GOLDEN`), returning one line per mismatch.
+fn snapshot_mismatches(dir: &Path, experiments: &[Experiment]) -> Vec<String> {
     let ctx = Ctx::new();
     let mut mismatches = Vec::new();
-    for exp in all_experiments() {
+    for exp in experiments {
         let got = (exp.run)(&ctx).to_csv();
         let path = dir.join(format!("{}.csv", exp.id));
         if updating() {
-            fs::create_dir_all(&dir).expect("create golden dir");
+            fs::create_dir_all(dir).expect("create golden dir");
             fs::write(&path, &got).expect("write snapshot");
             continue;
         }
@@ -59,9 +61,29 @@ fn every_artifact_matches_its_golden_snapshot() {
             Err(e) => mismatches.push(format!("{}: snapshot unreadable ({e})", exp.id)),
         }
     }
+    mismatches
+}
+
+#[test]
+fn every_artifact_matches_its_golden_snapshot() {
+    let mismatches = snapshot_mismatches(&golden_dir(), &all_experiments());
     assert!(
         mismatches.is_empty(),
         "golden snapshots diverged (run `UPDATE_GOLDEN=1 cargo test --test \
+         golden_artifacts` after an intended model change):\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// The extensions run through the same `mpisim` paths as the paper's
+/// application figures (`ext_pop` traces jobs, `ext_weak` drives halos),
+/// so they are pinned too, in `tests/golden/ext/`.
+#[test]
+fn every_extension_matches_its_golden_snapshot() {
+    let mismatches = snapshot_mismatches(&golden_dir().join("ext"), &extension_experiments());
+    assert!(
+        mismatches.is_empty(),
+        "extension snapshots diverged (run `UPDATE_GOLDEN=1 cargo test --test \
          golden_artifacts` after an intended model change):\n{}",
         mismatches.join("\n")
     );
