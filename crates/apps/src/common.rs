@@ -150,7 +150,7 @@ pub trait JobHandle {
     /// Alltoall of `bytes` per rank pair.
     fn alltoall(&mut self, bytes: simkit::units::Bytes);
     /// Halo exchange: every rank swaps `bytes` with `n_neighbors` peers
-    /// (ring-like neighbourhood over rank space).
+    /// (ring neighbourhood over rank space, see [`Job::ring_halo`]).
     fn halo(&mut self, n_neighbors: usize, bytes: simkit::units::Bytes);
     /// Collective file write through the parallel filesystem.
     fn write_output(&mut self, total_bytes: simkit::units::Bytes);
@@ -175,14 +175,7 @@ impl<T: interconnect::topology::Topology> JobHandle for Job<'_, T> {
         Job::alltoall(self, bytes);
     }
     fn halo(&mut self, n_neighbors: usize, bytes: simkit::units::Bytes) {
-        let n = self.n_ranks();
-        Job::neighbor_exchange(self, |r| {
-            (1..=n_neighbors.div_ceil(2))
-                .flat_map(|d| [(r + d) % n, (r + n - d % n) % n])
-                .take(n_neighbors.min(n.saturating_sub(1)))
-                .map(|peer| (peer, bytes))
-                .collect()
-        });
+        Job::ring_halo(self, n_neighbors, bytes);
     }
     fn write_output(&mut self, total_bytes: simkit::units::Bytes) {
         Job::parallel_write(

@@ -12,6 +12,7 @@ use interconnect::topology::{NodeId, Topology};
 use simkit::rng::Pcg32;
 use simkit::time::VirtualClock;
 use simkit::units::{Bandwidth, Bytes, Time};
+use std::collections::HashMap;
 
 /// A posted, not-yet-completed neighbour exchange (see
 /// [`Job::post_neighbor_exchange`]).
@@ -180,37 +181,36 @@ impl<'a, T: Topology> Job<'a, T> {
 
     /// Every rank executes the same per-rank work chunk; each rank's time is
     /// perturbed by the imbalance noise.
+    ///
+    /// The chunk is split across the rank's OpenMP threads and priced once
+    /// per call: [`CostModel::chunk_time`] is a pure function of the
+    /// profile and the active cores, which are the same for every rank. The
+    /// per-rank loop keeps only the fault stretch, the imbalance draw (in
+    /// rank order, so the noise sequence is fixed by the seed) and the clock
+    /// advance.
     pub fn compute(&mut self, per_rank: &KernelProfile) {
-        let n = self.n_ranks();
-        self.compute_chunks(|_| per_rank.clone());
-        debug_assert_eq!(n, self.n_ranks());
-    }
-
-    /// Per-rank work chunks from a closure (heterogeneous decomposition).
-    pub fn compute_chunks(&mut self, per_rank: impl Fn(usize) -> KernelProfile) {
-        let machine = self.machine;
-        let compiler = self.compiler;
-        let cm = CostModel::new(&machine.core, &machine.memory, compiler);
-        let active = self.layout.active_cores_per_node();
-        let threads = self.layout.threads_per_rank;
-        for rank in 0..self.n_ranks() {
-            let profile = per_rank(rank);
-            // A rank's chunk is split across its OpenMP threads.
-            let per_thread = KernelProfile {
-                flops: profile.flops / threads as f64,
-                bytes: profile.bytes / threads as f64,
-                ..profile
-            };
-            let mut t = cm.chunk_time(&per_thread, active);
+        let cm = CostModel::new(&self.machine.core, &self.machine.memory, self.compiler);
+        let threads = self.layout.threads_per_rank as f64;
+        let per_thread = KernelProfile {
+            name: String::new(),
+            flops: per_rank.flops / threads,
+            bytes: per_rank.bytes / threads,
+            ..*per_rank
+        };
+        let chunk = cm
+            .chunk_time(&per_thread, self.layout.active_cores_per_node())
+            .value();
+        for (rank, clock) in self.clocks.iter_mut().enumerate() {
             // Fault-plan slowdown: ×1.0 on healthy nodes is bit-neutral.
-            t = Time::seconds(t.value() * self.compute_stretch[rank]);
+            let mut t = chunk * self.compute_stretch[rank];
             if self.imbalance_sigma > 0.0 {
-                t = Time::seconds(t.value() * self.rng.lognormal_noise(self.imbalance_sigma));
+                t *= self.rng.lognormal_noise(self.imbalance_sigma);
             }
-            let start = self.clocks[rank].now();
-            self.clocks[rank].advance(t);
+            let t = Time::seconds(t);
+            let start = clock.now();
+            clock.advance(t);
             if let Some(trace) = self.trace.as_mut() {
-                trace.record(rank, Activity::Compute, start, start + t, &per_thread.name);
+                trace.record(rank, Activity::Compute, start, start + t, &per_rank.name);
             }
         }
     }
@@ -230,39 +230,23 @@ impl<'a, T: Topology> Job<'a, T> {
         self.network.link().sw_overhead * 0.5 + bytes / Bandwidth::gb_per_sec(20.0)
     }
 
-    /// Align all clocks to the latest (the synchronization part of every
-    /// blocking collective), returning that time.
-    fn sync_clocks(&mut self) -> Time {
+    /// A blocking step over all ranks: every clock waits for the latest
+    /// (the synchronization part of blocking MPI semantics), then all pay
+    /// `cost`. Only a traced job snapshots the per-rank start times, to
+    /// record each rank's interval from its pre-sync clock to the common
+    /// completion time.
+    fn blocking(&mut self, cost: Time, activity: Activity, label: &str) {
+        let starts = self.trace.is_some().then(|| self.rank_times());
         let latest = self.elapsed();
         for c in &mut self.clocks {
             c.advance_to(latest);
+            c.advance(cost);
         }
-        latest
-    }
-
-    /// Advance every clock by `dt`.
-    fn advance_all(&mut self, dt: Time) {
-        for c in &mut self.clocks {
-            c.advance(dt);
+        if let (Some(starts), Some(trace)) = (starts, self.trace.as_mut()) {
+            for (rank, (&s, c)) in starts.iter().zip(&self.clocks).enumerate() {
+                trace.record(rank, activity, s, c.now(), label);
+            }
         }
-    }
-
-    /// Record a blocking collective on every rank: the interval spans from
-    /// each rank's pre-sync clock to the common completion time.
-    fn record_collective(&mut self, starts: &[Time], label: &str) {
-        if self.trace.is_none() {
-            return;
-        }
-        let ends: Vec<Time> = self.clocks.iter().map(|c| c.now()).collect();
-        let trace = self.trace.as_mut().expect("checked above");
-        for (rank, (&s, &e)) in starts.iter().zip(&ends).enumerate() {
-            trace.record(rank, Activity::Collective, s, e, label);
-        }
-    }
-
-    /// Snapshot the per-rank clocks (collective start times).
-    fn clock_snapshot(&self) -> Vec<Time> {
-        self.clocks.iter().map(|c| c.now()).collect()
     }
 
     /// Hierarchical collective cost: intra-node stage over the ranks of one
@@ -282,62 +266,48 @@ impl<'a, T: Topology> Job<'a, T> {
 
     /// MPI_Barrier over all ranks.
     pub fn barrier(&mut self) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let rpn = self.layout.ranks_per_node;
         let nodes = self.layout.n_nodes();
         let cost = collectives::barrier(rpn, self.intra_node_ptp(Bytes::ZERO))
             + collectives::barrier(nodes, self.inter_node_ptp(Bytes::ZERO));
-        self.advance_all(cost);
-        self.record_collective(&starts, "barrier");
+        self.blocking(cost, Activity::Collective, "barrier");
     }
 
     /// MPI_Allreduce of `bytes` per rank.
     pub fn allreduce(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let algo = self.algo;
         let cost = self.hierarchical_cost(
             bytes,
             |p, b, ptp| collectives::allreduce(p, b, algo, ptp),
             |p, b, ptp| collectives::allreduce(p, b, algo, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "allreduce");
+        self.blocking(cost, Activity::Collective, "allreduce");
     }
 
     /// MPI_Bcast of `bytes` from rank 0.
     pub fn bcast(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let algo = self.algo;
         let cost = self.hierarchical_cost(
             bytes,
             |p, b, ptp| collectives::bcast(p, b, algo, ptp),
             |p, b, ptp| collectives::bcast(p, b, algo, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "bcast");
+        self.blocking(cost, Activity::Collective, "bcast");
     }
 
     /// MPI_Reduce of `bytes` to rank 0.
     pub fn reduce(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let algo = self.algo;
         let cost = self.hierarchical_cost(
             bytes,
             |p, b, ptp| collectives::reduce(p, b, algo, ptp),
             |p, b, ptp| collectives::reduce(p, b, algo, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "reduce");
+        self.blocking(cost, Activity::Collective, "reduce");
     }
 
     /// MPI_Allgather where each rank contributes `bytes`.
     pub fn allgather(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let algo = self.algo;
         let rpn = self.layout.ranks_per_node;
         let cost = self.hierarchical_cost(
@@ -346,14 +316,11 @@ impl<'a, T: Topology> Job<'a, T> {
             // Node leaders carry their node's aggregated contribution.
             |p, b, ptp| collectives::allgather(p, b * rpn as f64, algo, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "allgather");
+        self.blocking(cost, Activity::Collective, "allgather");
     }
 
     /// MPI_Alltoall where each rank sends `bytes` to every other rank.
     pub fn alltoall(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let rpn = self.layout.ranks_per_node;
         let cost = self.hierarchical_cost(
             bytes,
@@ -362,8 +329,7 @@ impl<'a, T: Topology> Job<'a, T> {
             // payloads with every other node.
             |p, b, ptp| collectives::alltoall(p, b * (rpn * rpn) as f64, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "alltoall");
+        self.blocking(cost, Activity::Collective, "alltoall");
     }
 
     /// Allreduce over a sub-communicator (e.g. HPL's grid rows/columns):
@@ -382,7 +348,10 @@ impl<'a, T: Topology> Job<'a, T> {
             assert!(!seen[r], "duplicate rank in sub-communicator");
             seen[r] = true;
         }
-        let starts = self.clock_snapshot();
+        let starts: Option<Vec<Time>> = self
+            .trace
+            .is_some()
+            .then(|| ranks.iter().map(|&r| self.clocks[r].now()).collect());
         // Synchronize the subset.
         let latest = ranks
             .iter()
@@ -402,18 +371,16 @@ impl<'a, T: Topology> Job<'a, T> {
         for &r in ranks {
             self.clocks[r].advance(cost);
         }
-        let ends: Vec<Time> = ranks.iter().map(|&r| self.clocks[r].now()).collect();
-        if let Some(trace) = self.trace.as_mut() {
-            for (&r, &e) in ranks.iter().zip(&ends) {
-                trace.record(r, Activity::Collective, starts[r], e, "allreduce(sub)");
+        if let (Some(starts), Some(trace)) = (starts, self.trace.as_mut()) {
+            for (&r, &s) in ranks.iter().zip(&starts) {
+                let end = self.clocks[r].now();
+                trace.record(r, Activity::Collective, s, end, "allreduce(sub)");
             }
         }
     }
 
     /// MPI_Gather of `bytes` per rank to rank 0.
     pub fn gather(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let rpn = self.layout.ranks_per_node;
         let cost = self.hierarchical_cost(
             bytes,
@@ -421,34 +388,27 @@ impl<'a, T: Topology> Job<'a, T> {
             // Node leaders forward their node's aggregate.
             |p, b, ptp| collectives::gather(p, b * rpn as f64, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "gather");
+        self.blocking(cost, Activity::Collective, "gather");
     }
 
     /// MPI_Reduce_scatter of `bytes` per rank.
     pub fn reduce_scatter(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let cost = self.hierarchical_cost(
             bytes,
             |p, b, ptp| collectives::reduce_scatter(p, b, ptp),
             |p, b, ptp| collectives::reduce_scatter(p, b, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "reduce_scatter");
+        self.blocking(cost, Activity::Collective, "reduce_scatter");
     }
 
     /// MPI_Scan (inclusive prefix) of `bytes` per rank.
     pub fn scan(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let cost = self.hierarchical_cost(
             bytes,
             |p, b, ptp| collectives::scan(p, b, ptp),
             |p, b, ptp| collectives::scan(p, b, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "scan");
+        self.blocking(cost, Activity::Collective, "scan");
     }
 
     /// Paired MPI_Sendrecv between two ranks: both clocks meet, then pay the
@@ -484,30 +444,47 @@ impl<'a, T: Topology> Job<'a, T> {
         &mut self,
         neighbors: impl Fn(usize) -> Vec<(usize, Bytes)>,
     ) -> PendingHalo {
+        self.post_exchange(|rank, peers| peers.extend(neighbors(rank)))
+    }
+
+    /// The one neighbour-exchange core behind [`Job::post_neighbor_exchange`]
+    /// and [`Job::ring_halo`]: `write_peers(rank, buf)` appends the rank's
+    /// `(peer, bytes)` messages to a buffer reused across ranks. An
+    /// inter-node message is priced once per distinct (source node, peer
+    /// node, size) within the call, which is exact because
+    /// [`Network::message_time`] is a pure function of those three.
+    fn post_exchange(
+        &mut self,
+        mut write_peers: impl FnMut(usize, &mut Vec<(usize, Bytes)>),
+    ) -> PendingHalo {
+        let n = self.n_ranks();
         let sw = self.network.link().sw_overhead;
-        let mut completion = Vec::with_capacity(self.n_ranks());
-        for rank in 0..self.n_ranks() {
-            let msgs = neighbors(rank);
-            if msgs.is_empty() {
-                completion.push(self.clocks[rank].now());
+        let mut completion = Vec::with_capacity(n);
+        let mut peers = Vec::new();
+        let mut priced: HashMap<(NodeId, NodeId, u64), Time> = HashMap::new();
+        for rank in 0..n {
+            peers.clear();
+            write_peers(rank, &mut peers);
+            let start = self.clocks[rank].now();
+            if peers.is_empty() {
+                completion.push(start);
                 continue;
             }
             // Injection overheads occupy the CPU.
-            let inject = sw * msgs.len() as f64;
-            let start = self.clocks[rank].now();
+            let inject = sw * peers.len() as f64;
             self.clocks[rank].advance(inject);
             // Wire time proceeds asynchronously from the post time.
+            let src = self.layout.node_of(rank);
             let mut slowest = Time::ZERO;
-            for &(peer, bytes) in &msgs {
-                assert!(peer < self.n_ranks(), "peer rank out of range");
-                let t = if self.layout.same_node(rank, peer) {
+            for &(peer, bytes) in &peers {
+                assert!(peer < n, "peer rank out of range");
+                let dst = self.layout.node_of(peer);
+                let t = if src == dst {
                     self.intra_node_ptp(bytes)
                 } else {
-                    self.network.message_time(
-                        self.layout.node_of(rank),
-                        self.layout.node_of(peer),
-                        bytes,
-                    )
+                    *priced
+                        .entry((src, dst, bytes.value().to_bits()))
+                        .or_insert_with(|| self.network.message_time(src, dst, bytes))
                 };
                 slowest = slowest.max(t);
             }
@@ -546,19 +523,29 @@ impl<'a, T: Topology> Job<'a, T> {
         self.wait_halo(pending);
     }
 
+    /// Blocking halo exchange over a ring neighbourhood in rank space: rank
+    /// `r` swaps `bytes` with `r+1, r−1, r+2, r−2, …` (mod the rank count),
+    /// `n_neighbors` peers in all but at most every other rank. These are
+    /// the application models' domain-decomposition halos.
+    pub fn ring_halo(&mut self, n_neighbors: usize, bytes: Bytes) {
+        let n = self.n_ranks();
+        let count = n_neighbors.min(n - 1);
+        let pending = self.post_exchange(|r, peers| {
+            peers.extend(
+                (1..=n_neighbors.div_ceil(2))
+                    .flat_map(|d| [(r + d) % n, (r + n - d % n) % n])
+                    .take(count)
+                    .map(|peer| (peer, bytes)),
+            );
+        });
+        self.wait_halo(pending);
+    }
+
     /// Collective file output of `total_bytes` through a shared parallel
     /// filesystem of the given sustained bandwidth (used for WRF's hourly
     /// frames). All ranks block until the write drains.
     pub fn parallel_write(&mut self, total_bytes: Bytes, fs_bandwidth: Bandwidth) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
-        self.advance_all(total_bytes / fs_bandwidth);
-        let ends: Vec<Time> = self.clocks.iter().map(|c| c.now()).collect();
-        if let Some(trace) = self.trace.as_mut() {
-            for (rank, (&s, &e)) in starts.iter().zip(&ends).enumerate() {
-                trace.record(rank, Activity::Io, s, e, "parallel_write");
-            }
-        }
+        self.blocking(total_bytes / fs_bandwidth, Activity::Io, "parallel_write");
     }
 }
 
@@ -972,6 +959,194 @@ mod tests {
         let net = plan.apply(Network::new(TofuD::cte_arm(), LinkModel::tofud()));
         let jf = crate::faults::JobFaults::from_plan(&plan);
         let _ = Job::new(&m, &c, &net, layout(&m, 2, 4, 12), 1).with_faults(&jf);
+    }
+
+    fn clock_bits<T: Topology>(job: &Job<T>) -> Vec<u64> {
+        job.rank_times()
+            .iter()
+            .map(|t| t.value().to_bits())
+            .collect()
+    }
+
+    /// Several `compute` calls on one job against a reference that prices
+    /// every rank's chunk on its own, applies the fault stretch and draws
+    /// the imbalance noise in rank order.
+    fn assert_compute_matches_per_rank_reference<T: Topology>(
+        m: &Machine,
+        c: &Compiler,
+        net: &Network<T>,
+        l: JobLayout,
+    ) {
+        use interconnect::faults::{Fault, FaultPlan};
+        let seed = 11;
+        let plan = FaultPlan::new("slow").with(Fault::Slowdown {
+            node: l.nodes[1],
+            factor: 0.7,
+        });
+        let jf = JobFaults::from_plan(&plan);
+        let profiles = [
+            KernelProfile::dp("assembly", 3e9, 2e8).with_vectorizable(0.97),
+            KernelProfile::dp("indexed", 5e8, 0.0).with_vectorizable(0.30),
+            KernelProfile::dp("stream", 0.0, 4e8),
+        ];
+        let mut job = Job::new(m, c, net, l.clone(), seed)
+            .with_imbalance(0.1)
+            .with_faults(&jf);
+        for p in &profiles {
+            job.compute(p);
+        }
+
+        let cm = CostModel::new(&m.core, &m.memory, c);
+        let threads = l.threads_per_rank as f64;
+        let mut rng = Pcg32::seeded(seed);
+        let mut clocks = vec![0.0_f64; l.n_ranks()];
+        for p in &profiles {
+            for (rank, clock) in clocks.iter_mut().enumerate() {
+                let per_thread = KernelProfile {
+                    flops: p.flops / threads,
+                    bytes: p.bytes / threads,
+                    ..p.clone()
+                };
+                let t = cm
+                    .chunk_time(&per_thread, l.active_cores_per_node())
+                    .value();
+                let t = t * jf.compute_stretch(l.node_of(rank));
+                *clock += t * rng.lognormal_noise(0.1);
+            }
+        }
+        let want: Vec<u64> = clocks.iter().map(|t| t.to_bits()).collect();
+        assert_eq!(clock_bits(&job), want);
+    }
+
+    #[test]
+    fn compute_matches_a_per_rank_reference_loop() {
+        let (m, c, net) = cte_job(3, 4, 12);
+        assert_compute_matches_per_rank_reference(&m, &c, &net, layout(&m, 3, 4, 12));
+        assert_compute_matches_per_rank_reference(&m, &c, &net, layout(&m, 2, 48, 1));
+        let mn4 = marenostrum4();
+        let intel = Compiler::intel();
+        let fat = Network::new(FatTree::marenostrum4(), LinkModel::omnipath());
+        assert_compute_matches_per_rank_reference(&mn4, &intel, &fat, layout(&mn4, 2, 48, 1));
+        assert_compute_matches_per_rank_reference(&mn4, &intel, &fat, layout(&mn4, 4, 2, 8));
+    }
+
+    /// The ring neighbourhood as a `neighbor_exchange` closure: the peer
+    /// formula `ring_halo` must reproduce.
+    fn ring_closure(
+        n: usize,
+        n_neighbors: usize,
+        bytes: Bytes,
+    ) -> impl Fn(usize) -> Vec<(usize, Bytes)> {
+        move |r| {
+            (1..=n_neighbors.div_ceil(2))
+                .flat_map(|d| [(r + d) % n, (r + n - d % n) % n])
+                .take(n_neighbors.min(n.saturating_sub(1)))
+                .map(|peer| (peer, bytes))
+                .collect()
+        }
+    }
+
+    /// Allocated nodes mixing near and far pairs on TofuD and same-leaf and
+    /// cross-leaf pairs on the fat tree.
+    const SPREAD: [NodeId; 5] = [NodeId(0), NodeId(37), NodeId(1), NodeId(74), NodeId(150)];
+
+    /// Link faults on three of the [`SPREAD`] nodes.
+    fn link_faults() -> interconnect::faults::FaultPlan {
+        use interconnect::faults::{Fault, FaultPlan};
+        use interconnect::network::Degradation;
+        FaultPlan::new("links")
+            .with(Fault::Degrade {
+                node: NodeId(37),
+                degradation: Degradation::receive_fault(0.3),
+            })
+            .with(Fault::LinkLatency {
+                node: NodeId(1),
+                extra: Time::micros(5.0),
+            })
+            .with(Fault::Retransmit {
+                node: NodeId(74),
+                drop_prob: 0.2,
+                timeout: Time::micros(30.0),
+            })
+    }
+
+    fn spread_layout(m: &Machine, n_nodes: usize, rpn: usize) -> JobLayout {
+        let (domains, cores) = (m.memory.n_domains, m.cores_per_node());
+        JobLayout::new(SPREAD[..n_nodes].to_vec(), rpn, 1, domains, cores)
+    }
+
+    /// `ring_halo` against the closure on 1-, 2- and 5-node layouts at
+    /// several densities.
+    fn assert_ring_halo_matches_closure<T: Topology>(m: &Machine, c: &Compiler, net: &Network<T>) {
+        for n_nodes in [1, 2, 5] {
+            for rpn in [1, 4, 48] {
+                for k in [0, 1, 2, 4, 6, 10] {
+                    let run = |ring: bool| {
+                        let l = spread_layout(m, n_nodes, rpn);
+                        let mut job = Job::new(m, c, net, l, 3).with_imbalance(0.05);
+                        let n = job.n_ranks();
+                        for bytes in [Bytes::kib(4.0), Bytes::mib(2.0), Bytes::kib(4.0)] {
+                            job.compute(&KernelProfile::dp("w", 1e8, 1e7));
+                            if ring {
+                                job.ring_halo(k, bytes);
+                            } else {
+                                job.neighbor_exchange(ring_closure(n, k, bytes));
+                            }
+                        }
+                        clock_bits(&job)
+                    };
+                    let case = format!("{n_nodes} nodes × {rpn} ranks, {k} peers");
+                    assert_eq!(run(true), run(false), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_halo_matches_the_neighbor_exchange_closure() {
+        let (m, c, tofu) = cte_job(5, 48, 1);
+        assert_ring_halo_matches_closure(&m, &c, &tofu);
+        assert_ring_halo_matches_closure(&m, &c, &link_faults().apply(tofu));
+        let mn4 = marenostrum4();
+        let intel = Compiler::intel();
+        let fat = Network::new(FatTree::marenostrum4(), LinkModel::omnipath());
+        assert_ring_halo_matches_closure(&mn4, &intel, &fat);
+        assert_ring_halo_matches_closure(&mn4, &intel, &link_faults().apply(fat));
+    }
+
+    #[test]
+    fn exchange_matches_pricing_every_message_directly() {
+        // Each rank messages both neighbouring nodes, and one of them in two
+        // sizes, on a faulted network: a memoized wire time must equal the
+        // direct price of that very (source node, peer node, size).
+        let m = cte_arm();
+        let c = Compiler::gnu_sve();
+        let net = link_faults().apply(Network::new(TofuD::cte_arm(), LinkModel::tofud()));
+        let l = spread_layout(&m, 5, 4);
+        let n = l.n_ranks();
+        let (small, large) = (Bytes::kib(1.0), Bytes::mib(8.0));
+        let peers = |r: usize| {
+            vec![
+                ((r + 4) % n, small),
+                ((r + n - 4) % n, large),
+                ((r + 1) % n, large),
+            ]
+        };
+        let mut job = Job::new(&m, &c, &net, l.clone(), 1).with_imbalance(0.0);
+        job.neighbor_exchange(peers);
+        let want: Vec<u64> = (0..n)
+            .map(|r| {
+                let msgs = peers(r);
+                let inject = net.link().sw_overhead * msgs.len() as f64;
+                // `message_time` on one node is the shared-memory copy.
+                let wire = msgs
+                    .iter()
+                    .map(|&(p, b)| net.message_time(l.node_of(r), l.node_of(p), b))
+                    .fold(Time::ZERO, Time::max);
+                (Time::ZERO + inject + wire).value().to_bits()
+            })
+            .collect();
+        assert_eq!(clock_bits(&job), want);
     }
 
     #[test]

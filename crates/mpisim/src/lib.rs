@@ -13,6 +13,15 @@
 //!   Allgather/Alltoall with hierarchical (intra-node + inter-node) stages
 //!   and selectable inter-node algorithm (binomial tree vs ring).
 //! * [`job`] — the [`job::Job`] execution context tying it all together.
+//! * [`faults`] — the job-visible slice of a fault plan: per-node compute
+//!   slowdowns as rank clock stretches, refusal of failed nodes, and the
+//!   all-to-all drain signature that localizes a degraded node.
+//! * [`trace`] — per-rank timelines of traced jobs, with per-activity
+//!   breakdowns and a text Gantt strip.
+//!
+//! A compute step prices its chunk once per call and a halo prices each
+//! inter-node route once per node pair and size, so the per-rank cost left
+//! is mostly the lognormal imbalance draw, then the halo's peer loop.
 
 //! ```
 //! use arch::{compiler::Compiler, cost::KernelProfile, machines::cte_arm};
