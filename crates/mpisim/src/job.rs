@@ -191,6 +191,7 @@ impl<'a, T: Topology> Job<'a, T> {
     pub fn compute(&mut self, per_rank: &KernelProfile) {
         let cm = CostModel::new(&self.machine.core, &self.machine.memory, self.compiler);
         let threads = self.layout.threads_per_rank as f64;
+        // Pricing never reads the name, so the per-thread copy leaves it out.
         let per_thread = KernelProfile {
             name: String::new(),
             flops: per_rank.flops / threads,
