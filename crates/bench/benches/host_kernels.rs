@@ -1,11 +1,15 @@
 //! The real compute kernels on the host: the executable counterparts of
 //! the paper's workloads. Throughput units are printed by Criterion.
+//!
+//! One harness per kernel: STREAM Triad, DGEMM, CSR and stencil SpMV, both
+//! SymGS smoothers, the ocean step and the LJ force loop are timed by
+//! `cluster-eval bench-all --json` (`core::hostbench`, committed as
+//! `BENCH_host.json`), so they are not repeated here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use kernels::cg::{build_hpcg_matrix, cg_solve, symgs};
+use kernels::cg::{build_hpcg_matrix, cg_solve};
 use kernels::fem::{assemble, TriangleMesh};
 use kernels::fma;
-use kernels::gemm::{gemm_blocked, gemm_flops};
 use kernels::lu::lu_factor;
 use kernels::matrix::DenseMatrix;
 use kernels::md::LjSystem;
@@ -39,7 +43,7 @@ fn bench_fma(c: &mut Criterion) {
 fn bench_stream(c: &mut Criterion) {
     let mut g = c.benchmark_group("stream");
     let n = 4_000_000;
-    for kernel in StreamKernel::ALL {
+    for kernel in [StreamKernel::Copy, StreamKernel::Scale, StreamKernel::Add] {
         g.throughput(Throughput::Bytes((n * kernel.bytes_per_element()) as u64));
         let mut arrays = StreamArrays::new(n);
         g.bench_function(BenchmarkId::new("sequential", format!("{kernel:?}")), |b| {
@@ -59,15 +63,6 @@ fn bench_linear_algebra(c: &mut Criterion) {
     let mut rng = Pcg32::seeded(1);
     let n = 256;
     let a = DenseMatrix::from_fn(n, n, |_, _| rng.uniform(-1.0, 1.0));
-    let bmat = DenseMatrix::from_fn(n, n, |_, _| rng.uniform(-1.0, 1.0));
-    g.throughput(Throughput::Elements(gemm_flops(n, n, n)));
-    g.bench_function("dgemm_256", |b| {
-        b.iter(|| {
-            let mut cm = DenseMatrix::zeros(n, n);
-            gemm_blocked(black_box(&a), black_box(&bmat), &mut cm);
-            black_box(cm)
-        })
-    });
     g.throughput(Throughput::Elements(kernels::lu::hpl_flops(n as u64) as u64));
     g.bench_function("lu_256", |b| {
         b.iter(|| black_box(lu_factor(a.clone(), 32).expect("non-singular")))
@@ -81,31 +76,6 @@ fn bench_hpcg_core(c: &mut Criterion) {
     let a = build_hpcg_matrix(16, 16, 16);
     let s = StencilMatrix::hpcg(16, 16, 16);
     let rhs = vec![1.0; a.n];
-    g.throughput(Throughput::Elements(2 * a.nnz() as u64));
-    let (mut x, mut y) = (vec![1.0; a.n], vec![0.0; a.n]);
-    g.bench_function("spmv_csr_16cubed", |b| {
-        b.iter(|| {
-            a.spmv(black_box(&x), &mut y);
-            std::mem::swap(&mut x, &mut y);
-        })
-    });
-    let (mut xs, mut ys) = (vec![1.0; s.n], vec![0.0; s.n]);
-    g.bench_function("spmv_stencil_16cubed", |b| {
-        b.iter(|| {
-            s.spmv(black_box(&xs), &mut ys);
-            std::mem::swap(&mut xs, &mut ys);
-        })
-    });
-    // SymGS counts 4·nnz flops per sweep (forward + backward).
-    g.throughput(Throughput::Elements(4 * a.nnz() as u64));
-    let mut xg = vec![0.0; a.n];
-    g.bench_function("symgs_seq_16cubed", |b| {
-        b.iter(|| symgs(&a, black_box(&rhs), &mut xg))
-    });
-    let mut xc = vec![0.0; s.n];
-    g.bench_function("symgs_colored_16cubed", |b| {
-        b.iter(|| s.symgs_colored(black_box(&rhs), &mut xc))
-    });
     g.throughput(Throughput::Elements(2 * a.nnz() as u64));
     g.bench_function("pcg_5iters_16cubed", |b| {
         b.iter(|| black_box(cg_solve(&a, &rhs, 5, 0.0, true)))
@@ -124,24 +94,17 @@ fn bench_app_kernels(c: &mut Criterion) {
     g.bench_function("fem_assembly_129x129", |b| {
         b.iter(|| black_box(assemble(&mesh, |_, _| 1.0, |_, _| 0.0)))
     });
-    // NEMO proxy: ocean step.
-    let mut ocean = kernels::stencil::OceanGrid::with_bump(512, 512);
-    g.bench_function("ocean_step_512", |b| {
-        b.iter(|| black_box(ocean.step(0.001, 1.0)))
-    });
     // WRF proxy: atmosphere step.
     let mut atmos = kernels::stencil::AtmosGrid::with_bubble(256, 256, 32);
     g.bench_function("atmos_step_256x32", |b| {
         b.iter(|| black_box(atmos.step(0.4, 0.2, 0.05)))
     });
-    // Gromacs proxy: LJ force evaluation.
+    // Gromacs proxy: the flat counting-sort cell-list rebuild against the
+    // nested Vec<Vec> build it replaced. One force evaluation first sizes
+    // the cell scratch, so the flat rebuild is timed in its zero-allocation
+    // steady state.
     let mut lj = LjSystem::cubic_lattice(12, 0.8, 1);
     lj.compute_forces();
-    g.bench_function("lj_forces_1728", |b| {
-        b.iter(|| black_box(lj.compute_forces()))
-    });
-    // The flat counting-sort cell-list rebuild (steady state: zero
-    // allocation) against the nested Vec<Vec> build it replaced.
     g.bench_function("lj_cell_list_flat_1728", |b| b.iter(|| lj.rebuild_cells()));
     g.bench_function("lj_cell_list_nested_1728", |b| {
         b.iter(|| black_box(lj.cell_list_nested()))

@@ -5,9 +5,13 @@
 //! * `paper_artifacts` — one target per paper table/figure: times the full
 //!   regeneration of each artifact and prints its headline values, so a
 //!   `cargo bench` run doubles as a reproduction log.
-//! * `host_kernels` — the real compute kernels on the host machine: the
-//!   FPU µKernel, STREAM Triad, blocked DGEMM/LU, the HPCG CG iteration,
-//!   FEM assembly, the MD force loop, and the FFT.
+//! * `host_kernels` — the real compute kernels on the host machine that
+//!   nothing else times: the FPU µKernel, STREAM Copy/Scale/Add, blocked
+//!   LU, the CSR and stencil PCG iterations, FEM assembly, the atmosphere
+//!   step, the LJ cell-list rebuilds and the FFT. STREAM Triad, DGEMM,
+//!   SpMV, SymGS, the ocean step and the LJ force loop belong to
+//!   `cluster-eval bench-all --json` (`core::hostbench`), one harness per
+//!   kernel.
 //! * `ablations` — the design-choice studies listed in DESIGN.md §5:
 //!   collective algorithms, placement policies, SVE-uptake sweep, and the
 //!   HBM↔DDR4 memory swap.

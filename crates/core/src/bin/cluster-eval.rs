@@ -169,26 +169,25 @@ fn run_one(id: &str, csv: bool) -> ExitCode {
     }
 }
 
-fn bench_all(csv: bool, json: bool) -> ExitCode {
-    if json {
-        // Host-kernel mode: measure what the parallel runtime delivers on
-        // *this* machine (1 thread vs full pool) and emit the
-        // BENCH_host.json snapshot format, with the deterministic
-        // cache-model predictions spliced in as a "cache" section and the
-        // serve cold/warm/dedupe replay as a "serve" section.
-        let hb = cluster_eval::hostbench::run_host_bench();
-        let cache = cluster_eval::cachemodel::cache_json_block(&arch::machines::cte_arm())
-            .expect("the CTE-Arm model always has a hierarchy config");
-        let serve = cluster_eval::hostbench::run_serve_bench(2);
-        let sched = cluster_eval::hostbench::run_sched_bench();
-        let extra = format!(
-            "{cache},\n{},\n{}",
-            serve.to_json_section(),
-            sched.to_json_section()
-        );
-        print!("{}", hb.to_json_with(&extra));
-        return ExitCode::SUCCESS;
-    }
+fn bench_all(args: &[String]) -> ExitCode {
+    let csv = match args {
+        [] => false,
+        [flag] if flag == "--csv" => true,
+        [flag] if flag == "--json" => {
+            // Host-kernel mode: measure what the parallel runtime delivers
+            // on *this* machine (1 thread vs full pool) and emit the
+            // BENCH_host.json snapshot.
+            print!("{}", cluster_eval::hostbench::run_host_bench().to_json());
+            return ExitCode::SUCCESS;
+        }
+        _ => {
+            eprintln!(
+                "bench-all takes at most one of --csv or --json, got '{}'",
+                args.join(" ")
+            );
+            return usage();
+        }
+    };
     let ctx = Ctx::new();
     let mut experiments = all_experiments();
     experiments.extend(extension_experiments());
@@ -601,10 +600,7 @@ fn main() -> ExitCode {
             }
             run_one(id, args.iter().any(|a| a == "--csv"))
         }
-        Some("bench-all") => bench_all(
-            args.iter().any(|a| a == "--csv"),
-            args.iter().any(|a| a == "--json"),
-        ),
+        Some("bench-all") => bench_all(&args[1..]),
         Some("bench-delta") => bench_delta(&args[1..]),
         Some("report") => {
             let dir = args.get(1).cloned().unwrap_or_else(|| "report".into());
@@ -635,19 +631,17 @@ fn main() -> ExitCode {
             }
         }
         Some("cache-model") => {
-            let machine = match args.iter().position(|a| a == "--machine") {
-                Some(i) => match args.get(i + 1).map(String::as_str) {
-                    Some("cte-arm") => arch::machines::cte_arm(),
-                    Some("mn4") => arch::machines::marenostrum4(),
-                    other => {
-                        eprintln!(
-                            "unknown --machine '{}' — known: cte-arm, mn4",
-                            other.unwrap_or("")
-                        );
-                        return usage();
-                    }
-                },
-                None => arch::machines::cte_arm(),
+            let machine = match &args[1..] {
+                [] => arch::machines::cte_arm(),
+                [flag, m] if flag == "--machine" && m == "cte-arm" => arch::machines::cte_arm(),
+                [flag, m] if flag == "--machine" && m == "mn4" => arch::machines::marenostrum4(),
+                other => {
+                    eprintln!(
+                        "cache-model takes only --machine cte-arm|mn4, got '{}'",
+                        other.join(" ")
+                    );
+                    return usage();
+                }
             };
             match cluster_eval::cachemodel::render_report(&machine) {
                 Some(r) => {

@@ -1,7 +1,8 @@
 //! The cache-model kernel registry: every kernel the paper measures a
 //! %-of-peak for, paired with its symbolic access trace and per-core
-//! work spec, so the `cache-model` subcommand, the validation goldens and
-//! the property tests all drive the same inputs.
+//! work spec, so the `cache-model` subcommand, the `cache` section of
+//! `bench-all --json`, the validation goldens and the property tests all
+//! drive the same inputs.
 //!
 //! Sizes are one core's shard of a full-node run — the hierarchy configs
 //! in [`arch::cachesim`] are per-core slices for the same reason. Shards
@@ -177,30 +178,6 @@ pub fn render_report(machine: &Machine) -> Option<String> {
     Some(out)
 }
 
-/// Compact JSON block for `bench-all --json`: predicted DRAM traffic and
-/// %-of-peak per registry kernel on the A64FX model. Deterministic — no
-/// host measurement involved.
-pub fn cache_json_block(machine: &Machine) -> Option<String> {
-    let rows = predict_all(machine)?;
-    let mut out = String::from("  \"cache\": [\n");
-    let last = rows.len() - 1;
-    for (i, (e, p)) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"dram_bytes\": {}, \"nominal_bytes\": {}, \
-             \"pct_peak_flops\": {:.4}, \"pct_peak_bw\": {:.4}, \"bound\": \"{}\"}}{}\n",
-            e.key,
-            p.sim.dram_bytes(),
-            p.sim.nominal_bytes,
-            p.pct_peak_flops,
-            p.pct_peak_bw,
-            p.bound,
-            if i < last { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]");
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,13 +214,6 @@ mod tests {
         let mut m = cte_arm();
         m.name = "mystery-box".into();
         assert!(render_report(&m).is_none());
-        assert!(cache_json_block(&m).is_none());
-    }
-
-    #[test]
-    fn json_block_is_balanced_and_complete() {
-        let j = cache_json_block(&cte_arm()).unwrap();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches("\"kernel\"").count(), registry().len());
+        assert!(predict_all(&m).is_none());
     }
 }

@@ -4,11 +4,17 @@
 //! numbers from analytic machine models — this module measures what the
 //! rewritten parallel runtime actually delivers on the machine running the
 //! binary: per-kernel GB/s or GFLOP/s with 1 worker thread and with the
-//! full configured pool, plus the resulting speedup. The output is the
-//! committed `BENCH_host.json` snapshot (regenerate it with
+//! full configured pool, plus the resulting speedup, the interconnect fast
+//! path and the structure-aware HPCG engine. The snapshot also carries the
+//! deterministic CTE-Arm cache-model predictions (`cachemodel`). The
+//! output, rendered through `json::Writer`, is the committed
+//! `BENCH_host.json` snapshot (regenerate it with
 //! `cluster-eval bench-all --json > BENCH_host.json` — the recorded
-//! `host.cores` field says what hardware a snapshot came from, so numbers
-//! from a 1-core CI container and a 48-core A64FX node are never confused).
+//! `host.detected_cores` field says what hardware a snapshot came from, so
+//! numbers from a 1-core CI container and a 48-core A64FX node are never
+//! confused). Serve and scheduler-replay throughput are not timed here:
+//! perfbench's `whatif` and `sched-replay` workloads own them, with
+//! regression bounds.
 //!
 //! Every measurement uses calibrated best-of-k timing: one warm-up call
 //! estimates the closure's wall time, reps are auto-scaled so every timed
@@ -20,8 +26,9 @@
 //! implementations, so these numbers move when the runtime or the kernels
 //! do.
 
-use crate::engine::Ctx;
-use crate::serve::{open_store, respond, run_batch};
+use crate::cachemodel::predict_all;
+use crate::json::Writer;
+use arch::cachesim::Prediction;
 use arch::cost::{
     spmv_csr_bytes, spmv_csr_moved_bytes, spmv_stencil_bytes, spmv_stencil_moved_bytes,
 };
@@ -95,17 +102,6 @@ pub struct KernelBench {
     pub value_nt: f64,
 }
 
-impl KernelBench {
-    /// `value_nt / value_1t`.
-    pub fn speedup(&self) -> f64 {
-        if self.value_1t > 0.0 {
-            self.value_nt / self.value_1t
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Interconnect fast-path measurements: per-message route-cost resolution
 /// (before/after the memoized table), route-step enumeration rate, and the
 /// parallel all-pairs link-load sweep at one worker vs. the full pool.
@@ -150,27 +146,6 @@ pub struct NetworkBench {
     pub fugaku_sweep_closed_ms: f64,
 }
 
-impl NetworkBench {
-    /// `routes_per_sec / baseline_routes_per_sec` — how much faster the
-    /// memoized table resolves a route than the pre-change direct path.
-    pub fn resolve_speedup(&self) -> f64 {
-        if self.baseline_routes_per_sec > 0.0 {
-            self.routes_per_sec / self.baseline_routes_per_sec
-        } else {
-            0.0
-        }
-    }
-
-    /// `sweep_ms_1t / sweep_ms_nt`.
-    pub fn sweep_speedup(&self) -> f64 {
-        if self.sweep_ms_nt > 0.0 {
-            self.sweep_ms_1t / self.sweep_ms_nt
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Structure-aware HPCG engine measurements: the CSR baseline against the
 /// stencil-packed format for SpMV (throughput *and* effective traffic),
 /// the sequential SymGS oracle against the parallel multicolor smoother,
@@ -212,36 +187,6 @@ pub struct HpcgBench {
     pub vcycle_ms_nt: f64,
 }
 
-impl HpcgBench {
-    /// `spmv_stencil_gflops / spmv_csr_gflops` — the format win at equal
-    /// arithmetic.
-    pub fn spmv_format_speedup(&self) -> f64 {
-        if self.spmv_csr_gflops > 0.0 {
-            self.spmv_stencil_gflops / self.spmv_csr_gflops
-        } else {
-            0.0
-        }
-    }
-
-    /// `symgs_colored_sweeps_per_sec / symgs_seq_sweeps_per_sec`.
-    pub fn symgs_speedup(&self) -> f64 {
-        if self.symgs_seq_sweeps_per_sec > 0.0 {
-            self.symgs_colored_sweeps_per_sec / self.symgs_seq_sweeps_per_sec
-        } else {
-            0.0
-        }
-    }
-
-    /// `vcycle_ms_1t / vcycle_ms_nt`.
-    pub fn vcycle_speedup(&self) -> f64 {
-        if self.vcycle_ms_nt > 0.0 {
-            self.vcycle_ms_1t / self.vcycle_ms_nt
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The full host snapshot.
 #[derive(Debug, Clone)]
 pub struct HostBench {
@@ -259,219 +204,17 @@ pub struct HostBench {
     pub network: NetworkBench,
     /// Structure-aware HPCG engine measurements.
     pub hpcg: HpcgBench,
+    /// Cache-model predictions for every `cachemodel` registry kernel on
+    /// CTE-Arm. Deterministic — no host measurement involved.
+    pub cache: Vec<Prediction>,
 }
 
-/// Serve-path measurements over the committed canned batch
-/// (`tests/data/serve_batch_50.jsonl`, compiled into the binary): the cold
-/// replay that pays every engine miss against a fresh store, the warm
-/// replay served from the reopened disk store, and the engine cost of two
-/// identical in-flight queries under the single-flight slot lock.
-#[derive(Debug, Clone)]
-pub struct ServeBench {
-    /// Request lines in the canned batch.
-    pub requests: usize,
-    /// Individual queries across those requests.
-    pub queries: u64,
-    /// `--jobs` level both replays ran at.
-    pub jobs: usize,
-    /// Cold replay wall time (fresh store, every unique query a miss), ms.
-    pub cold_batch_ms: f64,
-    /// Warm replay wall time (reopened store, engine never runs), ms.
-    pub warm_batch_ms: f64,
-    /// Engine misses the cold replay paid (the unique-query count).
-    pub cold_misses: u64,
-    /// Disk hits that served the warm replay.
-    pub warm_disk_hits: u64,
-    /// Memory hits (in-session duplicates) during the warm replay.
-    pub warm_mem_hits: u64,
-    /// Engine misses of the warm replay — zero when the store works.
-    pub warm_misses: u64,
-    /// Engine misses charged for two identical queries evaluated
-    /// concurrently in one request: the per-key slot lock is a
-    /// single-flight map, so this is 1, not 2.
-    pub inflight_dedupe_misses: u64,
-}
-
-impl ServeBench {
-    /// `cold_batch_ms / warm_batch_ms` — what the persistent tier buys.
-    pub fn warm_speedup(&self) -> f64 {
-        if self.warm_batch_ms > 0.0 {
-            self.cold_batch_ms / self.warm_batch_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Pre-rendered top-level `"serve"` section for
-    /// [`HostBench::to_json_with`].
-    pub fn to_json_section(&self) -> String {
-        let mut out = String::from("  \"serve\": {\n");
-        out.push_str("    \"batch\": \"tests/data/serve_batch_50.jsonl\",\n");
-        out.push_str(&format!("    \"requests\": {},\n", self.requests));
-        out.push_str(&format!("    \"queries\": {},\n", self.queries));
-        out.push_str(&format!("    \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "    \"cold_batch_ms\": {:.2},\n",
-            self.cold_batch_ms
-        ));
-        out.push_str(&format!(
-            "    \"warm_batch_ms\": {:.2},\n",
-            self.warm_batch_ms
-        ));
-        out.push_str(&format!(
-            "    \"warm_speedup\": {:.1},\n",
-            self.warm_speedup()
-        ));
-        out.push_str(&format!("    \"cold_misses\": {},\n", self.cold_misses));
-        out.push_str(&format!(
-            "    \"warm_disk_hits\": {},\n",
-            self.warm_disk_hits
-        ));
-        out.push_str(&format!("    \"warm_mem_hits\": {},\n", self.warm_mem_hits));
-        out.push_str(&format!("    \"warm_misses\": {},\n", self.warm_misses));
-        out.push_str(&format!(
-            "    \"inflight_dedupe_misses\": {}\n",
-            self.inflight_dedupe_misses
-        ));
-        out.push_str("  }");
-        out
-    }
-}
-
-/// The canned what-if batch the serve tests, CI smoke and this bench all
-/// replay: 10 requests x 5 queries, 45 unique + 5 repeats, all-success.
-const SERVE_BATCH: &str = include_str!("../../../tests/data/serve_batch_50.jsonl");
-
-/// Measure the serve front end over the canned batch: cold against a
-/// fresh store in a scratch directory, warm against the reopened store,
-/// plus the in-flight dedupe cost. The scratch store is removed on exit.
-pub fn run_serve_bench(jobs: usize) -> ServeBench {
-    let lines: Vec<String> = SERVE_BATCH
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(String::from)
-        .collect();
-    let dir = std::env::temp_dir().join(format!("cluster-eval-servebench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let cold_ctx = Ctx::with_store(open_store(&dir).expect("scratch store open"));
-    let t0 = Instant::now();
-    let cold_out = run_batch(&cold_ctx, &lines, jobs);
-    let cold_batch_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let cold = cold_ctx.cache.counters();
-    drop(cold_ctx); // server restart: flushes the index
-
-    let warm_ctx = Ctx::with_store(open_store(&dir).expect("scratch store reopen"));
-    let t1 = Instant::now();
-    let warm_out = run_batch(&warm_ctx, &lines, jobs);
-    let warm_batch_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let warm = warm_ctx.cache.counters();
-    drop(warm_ctx);
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(warm_out, cold_out, "warm serve replay diverged from cold");
-
-    // Dedupe cost: two identical queries in one request, two workers. The
-    // slot lock makes one compute and the other wait for the fresh value.
-    let dup = r#"{"id": 1, "queries": [
-        {"app": "hpl", "machine": "cte-arm", "nodes": 16},
-        {"app": "hpl", "machine": "cte-arm", "nodes": 16}]}"#
-        .replace('\n', " ");
-    let dedupe_ctx = Ctx::new();
-    let _ = respond(&dedupe_ctx, &dup, 2);
-
-    ServeBench {
-        requests: lines.len(),
-        queries: cold.total(),
-        jobs,
-        cold_batch_ms,
-        warm_batch_ms,
-        cold_misses: cold.misses,
-        warm_disk_hits: warm.disk_hits,
-        warm_mem_hits: warm.mem_hits,
-        warm_misses: warm.misses,
-        inflight_dedupe_misses: dedupe_ctx.cache.counters().misses,
-    }
-}
-
-/// Scheduler-replay throughput at full-Fugaku scale: days of synthetic
-/// production dispatched through the run-indexed allocator, single thread
-/// (the replay is inherently sequential; its speed comes from the data
-/// structures, not the pool).
-#[derive(Debug, Clone)]
-pub struct SchedBench {
-    /// Machine replayed.
-    pub machine: String,
-    /// Cluster size.
-    pub nodes: usize,
-    /// Days of submissions.
-    pub days: usize,
-    /// Jobs per day.
-    pub jobs_per_day: usize,
-    /// Jobs replayed.
-    pub jobs: usize,
-    /// Generate + simulate wall time, seconds.
-    pub wall_s: f64,
-    /// Jobs simulated per wall-clock second.
-    pub jobs_per_sec: f64,
-    /// Simulated makespan, seconds.
-    pub makespan_s: f64,
-    /// Node-time utilization in `[0, 1]`.
-    pub utilization: f64,
-    /// Mean queue wait, simulated seconds.
-    pub mean_wait_s: f64,
-    /// Mean allocation compactness, pairwise hops.
-    pub mean_compactness: f64,
-}
-
-impl SchedBench {
-    /// Pre-rendered top-level `"sched"` section for
-    /// [`HostBench::to_json_with`].
-    pub fn to_json_section(&self) -> String {
-        let mut out = String::from("  \"sched\": {\n");
-        out.push_str(&format!("    \"machine\": \"{}\",\n", self.machine));
-        out.push_str(&format!("    \"nodes\": {},\n", self.nodes));
-        out.push_str(&format!("    \"days\": {},\n", self.days));
-        out.push_str(&format!("    \"jobs_per_day\": {},\n", self.jobs_per_day));
-        out.push_str(&format!("    \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("    \"wall_s\": {:.3},\n", self.wall_s));
-        out.push_str(&format!(
-            "    \"jobs_per_sec\": {:.0},\n",
-            self.jobs_per_sec
-        ));
-        out.push_str(&format!("    \"makespan_s\": {:.0},\n", self.makespan_s));
-        out.push_str(&format!("    \"utilization\": {:.4},\n", self.utilization));
-        out.push_str(&format!("    \"mean_wait_s\": {:.1},\n", self.mean_wait_s));
-        out.push_str(&format!(
-            "    \"mean_compactness\": {:.3}\n",
-            self.mean_compactness
-        ));
-        out.push_str("  }");
-        out
-    }
-}
-
-/// Replay three days of full-Fugaku production (158,976 nodes, 40,000
-/// jobs/day) under the best-fit policy and report throughput plus the
-/// headline scheduler stats. Deterministic apart from the wall-time
-/// fields.
-pub fn run_sched_bench() -> SchedBench {
-    let config = crate::schedreplay::ReplayConfig {
-        days: 3,
-        ..crate::schedreplay::ReplayConfig::fugaku_month()
-    };
-    let out = crate::schedreplay::run_replay(&config);
-    SchedBench {
-        machine: config.machine,
-        nodes: out.nodes,
-        days: config.days,
-        jobs_per_day: config.jobs_per_day,
-        jobs: out.jobs,
-        wall_s: out.wall_s,
-        jobs_per_sec: out.jobs_per_sec,
-        makespan_s: out.stats.makespan.value(),
-        utilization: out.stats.utilization,
-        mean_wait_s: out.stats.mean_wait.value(),
-        mean_compactness: out.stats.mean_compactness,
+/// `num / den`, or 0 when the denominator is not positive.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
     }
 }
 
@@ -808,258 +551,205 @@ pub fn run_host_bench() -> HostBench {
         kernels: run_kernel_benches(pool_threads),
         network: run_network_bench(pool_threads),
         hpcg: run_hpcg_bench(pool_threads),
+        cache: cte_arm_cache(),
     }
+}
+
+/// The cache-model predictions for every registry kernel on CTE-Arm.
+fn cte_arm_cache() -> Vec<Prediction> {
+    predict_all(&arch::machines::cte_arm())
+        .expect("the CTE-Arm model always has a hierarchy config")
+        .into_iter()
+        .map(|(_, p)| p)
+        .collect()
 }
 
 impl HostBench {
     /// Render as pretty-printed JSON (the `BENCH_host.json` format).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"host\": {\n");
-        out.push_str(&format!(
-            "    \"detected_cores\": {},\n",
-            self.detected_cores
-        ));
-        out.push_str(&format!("    \"pool_threads\": {},\n", self.pool_threads));
-        out.push_str(&format!(
-            "    \"rayon_num_threads_env\": {}\n",
-            match &self.rayon_threads_env {
-                Some(v) => format!("\"{v}\""),
-                None => "null".into(),
-            }
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"kernels\": [\n");
-        for (i, k) in self.kernels.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", k.name));
-            out.push_str(&format!("      \"metric\": \"{}\",\n", k.metric));
-            out.push_str(&format!("      \"size\": \"{}\",\n", k.size));
-            out.push_str(&format!("      \"value_1_thread\": {:.3},\n", k.value_1t));
-            // A 1-wide pool has no distinct N-thread leg: emitting
-            // `value_1_threads` next to `value_1_thread` and a "speedup"
-            // of noise/noise made the committed snapshot lie. Suppress the
-            // column and null the ratio instead.
-            if self.pool_threads > 1 {
-                out.push_str(&format!(
-                    "      \"value_{}_threads\": {:.3},\n",
-                    self.pool_threads, k.value_nt
-                ));
-                out.push_str(&format!("      \"speedup\": {:.3}\n", k.speedup()));
-            } else {
-                out.push_str("      \"speedup\": null\n");
-            }
-            out.push_str(if i + 1 < self.kernels.len() {
-                "    },\n"
-            } else {
-                "    }\n"
+        Writer::document(|w| {
+            w.object("host", |w| {
+                w.int("detected_cores", self.detected_cores as u64)
+                    .int("pool_threads", self.pool_threads as u64);
+                match &self.rayon_threads_env {
+                    Some(v) => w.str("rayon_num_threads_env", v),
+                    None => w.null("rayon_num_threads_env"),
+                };
             });
-        }
-        out.push_str("  ],\n");
-        let hp = &self.hpcg;
-        out.push_str("  \"hpcg\": {\n");
-        out.push_str(&format!("    \"grid\": \"{}\",\n", hp.grid));
-        out.push_str(&format!(
-            "    \"spmv_csr_gflops\": {:.3},\n",
-            hp.spmv_csr_gflops
-        ));
-        out.push_str(&format!(
-            "    \"spmv_csr_gbs_dram_floor\": {:.3},\n",
-            hp.spmv_csr_gbs_dram_floor
-        ));
-        out.push_str(&format!(
-            "    \"spmv_csr_gbs_moved\": {:.3},\n",
-            hp.spmv_csr_gbs_moved
-        ));
-        out.push_str(&format!(
-            "    \"spmv_stencil_gflops\": {:.3},\n",
-            hp.spmv_stencil_gflops
-        ));
-        out.push_str(&format!(
-            "    \"spmv_stencil_gbs_dram_floor\": {:.3},\n",
-            hp.spmv_stencil_gbs_dram_floor
-        ));
-        out.push_str(&format!(
-            "    \"spmv_stencil_gbs_moved\": {:.3},\n",
-            hp.spmv_stencil_gbs_moved
-        ));
-        out.push_str(&format!(
-            "    \"spmv_format_speedup\": {:.3},\n",
-            hp.spmv_format_speedup()
-        ));
-        out.push_str(&format!(
-            "    \"symgs_seq_sweeps_per_sec\": {:.1},\n",
-            hp.symgs_seq_sweeps_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"symgs_colored_sweeps_per_sec\": {:.1},\n",
-            hp.symgs_colored_sweeps_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"symgs_speedup\": {:.3},\n",
-            hp.symgs_speedup()
-        ));
-        out.push_str(&format!(
-            "    \"vcycle_wall_ms_1_thread\": {:.2},\n",
-            hp.vcycle_ms_1t
-        ));
-        if self.pool_threads > 1 {
-            out.push_str(&format!(
-                "    \"vcycle_wall_ms_{}_threads\": {:.2},\n",
-                self.pool_threads, hp.vcycle_ms_nt
-            ));
-            out.push_str(&format!(
-                "    \"vcycle_speedup\": {:.3}\n",
-                hp.vcycle_speedup()
-            ));
-        } else {
-            out.push_str("    \"vcycle_speedup\": null\n");
-        }
-        out.push_str("  },\n");
-        let nw = &self.network;
-        out.push_str("  \"network\": {\n");
-        out.push_str(&format!(
-            "    \"route_topology\": \"{}\",\n",
-            nw.route_topology
-        ));
-        out.push_str(&format!(
-            "    \"routes_per_sec\": {:.0},\n",
-            nw.routes_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"baseline_routes_per_sec\": {:.0},\n",
-            nw.baseline_routes_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"resolve_speedup\": {:.3},\n",
-            nw.resolve_speedup()
-        ));
-        out.push_str(&format!(
-            "    \"route_enum_per_sec\": {:.0},\n",
-            nw.route_enum_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"sweep_topology\": \"{}\",\n",
-            nw.sweep_topology
-        ));
-        out.push_str(&format!(
-            "    \"sweep_wall_ms_1_thread\": {:.1},\n",
-            nw.sweep_ms_1t
-        ));
-        if self.pool_threads > 1 {
-            out.push_str(&format!(
-                "    \"sweep_wall_ms_{}_threads\": {:.1},\n",
-                self.pool_threads, nw.sweep_ms_nt
-            ));
-            out.push_str(&format!(
-                "    \"sweep_speedup\": {:.3},\n",
-                nw.sweep_speedup()
-            ));
-        } else {
-            out.push_str("    \"sweep_speedup\": null,\n");
-        }
-        out.push_str(&format!(
-            "    \"folded_topology\": \"{}\",\n",
-            nw.folded_topology
-        ));
-        out.push_str(&format!(
-            "    \"folded_routes_per_sec\": {:.0},\n",
-            nw.folded_routes_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"folded_build_ms\": {:.1},\n",
-            nw.folded_build_ms
-        ));
-        out.push_str(&format!(
-            "    \"folded_table_bytes\": {},\n",
-            nw.folded_table_bytes
-        ));
-        out.push_str(&format!(
-            "    \"sweep_10k_topology\": \"{}\",\n",
-            nw.sweep_10k_topology
-        ));
-        out.push_str(&format!(
-            "    \"sweep_10k_closed_ms\": {:.2},\n",
-            nw.sweep_10k_closed_ms
-        ));
-        out.push_str(&format!(
-            "    \"fugaku_sweep_closed_ms\": {:.2}\n",
-            nw.fugaku_sweep_closed_ms
-        ));
-        out.push_str("  }\n}\n");
-        out
+            w.array("kernels", &self.kernels, |w, k| {
+                w.str("name", k.name)
+                    .str("metric", k.metric)
+                    .str("size", &k.size);
+                self.thread_columns(
+                    w,
+                    ("value", 3),
+                    (k.value_1t, k.value_nt),
+                    ("speedup", ratio(k.value_nt, k.value_1t)),
+                );
+            });
+            let hp = &self.hpcg;
+            w.object("hpcg", |w| {
+                w.str("grid", &hp.grid)
+                    .num("spmv_csr_gflops", hp.spmv_csr_gflops, 3)
+                    .num("spmv_csr_gbs_dram_floor", hp.spmv_csr_gbs_dram_floor, 3)
+                    .num("spmv_csr_gbs_moved", hp.spmv_csr_gbs_moved, 3)
+                    .num("spmv_stencil_gflops", hp.spmv_stencil_gflops, 3)
+                    .num(
+                        "spmv_stencil_gbs_dram_floor",
+                        hp.spmv_stencil_gbs_dram_floor,
+                        3,
+                    )
+                    .num("spmv_stencil_gbs_moved", hp.spmv_stencil_gbs_moved, 3)
+                    .num(
+                        "spmv_format_speedup",
+                        ratio(hp.spmv_stencil_gflops, hp.spmv_csr_gflops),
+                        3,
+                    )
+                    .num("symgs_seq_sweeps_per_sec", hp.symgs_seq_sweeps_per_sec, 1)
+                    .num(
+                        "symgs_colored_sweeps_per_sec",
+                        hp.symgs_colored_sweeps_per_sec,
+                        1,
+                    )
+                    .num(
+                        "symgs_speedup",
+                        ratio(hp.symgs_colored_sweeps_per_sec, hp.symgs_seq_sweeps_per_sec),
+                        3,
+                    );
+                self.thread_columns(
+                    w,
+                    ("vcycle_wall_ms", 2),
+                    (hp.vcycle_ms_1t, hp.vcycle_ms_nt),
+                    ("vcycle_speedup", ratio(hp.vcycle_ms_1t, hp.vcycle_ms_nt)),
+                );
+            });
+            let nw = &self.network;
+            w.object("network", |w| {
+                w.str("route_topology", &nw.route_topology)
+                    .num("routes_per_sec", nw.routes_per_sec, 0)
+                    .num("baseline_routes_per_sec", nw.baseline_routes_per_sec, 0)
+                    .num(
+                        "resolve_speedup",
+                        ratio(nw.routes_per_sec, nw.baseline_routes_per_sec),
+                        3,
+                    )
+                    .num("route_enum_per_sec", nw.route_enum_per_sec, 0)
+                    .str("sweep_topology", &nw.sweep_topology);
+                self.thread_columns(
+                    w,
+                    ("sweep_wall_ms", 1),
+                    (nw.sweep_ms_1t, nw.sweep_ms_nt),
+                    ("sweep_speedup", ratio(nw.sweep_ms_1t, nw.sweep_ms_nt)),
+                );
+                w.str("folded_topology", &nw.folded_topology)
+                    .num("folded_routes_per_sec", nw.folded_routes_per_sec, 0)
+                    .num("folded_build_ms", nw.folded_build_ms, 1)
+                    .int("folded_table_bytes", nw.folded_table_bytes as u64)
+                    .str("sweep_10k_topology", &nw.sweep_10k_topology)
+                    .num("sweep_10k_closed_ms", nw.sweep_10k_closed_ms, 2)
+                    .num("fugaku_sweep_closed_ms", nw.fugaku_sweep_closed_ms, 2);
+            });
+            w.array("cache", &self.cache, |w, p| {
+                w.str("kernel", &p.kernel)
+                    .int("dram_bytes", p.sim.dram_bytes())
+                    .int("nominal_bytes", p.sim.nominal_bytes)
+                    .num("pct_peak_flops", p.pct_peak_flops, 4)
+                    .num("pct_peak_bw", p.pct_peak_bw, 4)
+                    .str("bound", &p.bound);
+            });
+        })
     }
 
-    /// [`Self::to_json`] with an extra pre-rendered top-level section
-    /// spliced in before the closing brace (e.g. the deterministic
-    /// `"cache"` block from the cache-model predictor, which is not a
-    /// host measurement and so does not live in the struct).
-    pub fn to_json_with(&self, extra_section: &str) -> String {
-        let base = self.to_json();
-        let trimmed = base
-            .trim_end()
-            .strip_suffix('}')
-            .expect("to_json always closes the object")
-            .trim_end();
-        format!("{trimmed},\n{extra_section}\n}}\n")
+    /// One quantity measured at 1 worker and at the full pool: the
+    /// `<stem>_1_thread` column, then `<stem>_<N>_threads` and the
+    /// speedup. A 1-wide pool has no distinct N-thread leg, so it gets no
+    /// N-thread column and a `null` speedup rather than noise over noise.
+    fn thread_columns(
+        &self,
+        w: &mut Writer,
+        (stem, decimals): (&str, usize),
+        (one, many): (f64, f64),
+        (speedup_key, speedup): (&str, f64),
+    ) {
+        w.num(&format!("{stem}_1_thread"), one, decimals);
+        let n = self.pool_threads;
+        if n > 1 {
+            w.num(&format!("{stem}_{n}_threads"), many, decimals)
+                .num(speedup_key, speedup, 3);
+        } else {
+            w.null(speedup_key);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cachemodel::registry;
+    use crate::json::{self, Value};
 
-    fn sample_network() -> NetworkBench {
-        NetworkBench {
-            route_topology: "TofuD [4, 2, 2, 2, 3, 2] (192 nodes)".into(),
-            routes_per_sec: 5.0e7,
-            baseline_routes_per_sec: 1.0e7,
-            route_enum_per_sec: 2.0e7,
-            sweep_topology: "TofuD [8, 4, 4, 2, 3, 2] (1536 nodes)".into(),
-            sweep_ms_1t: 200.0,
-            sweep_ms_nt: 50.0,
-            folded_topology: "TofuD [24, 23, 24, 2, 3, 2] (158976 nodes)".into(),
-            folded_routes_per_sec: 1.5e9,
-            folded_build_ms: 40.0,
-            folded_table_bytes: 9_582_978,
-            sweep_10k_topology: "TofuD [12, 12, 6, 2, 3, 2] (10368 nodes)".into(),
-            sweep_10k_closed_ms: 1.25,
-            fugaku_sweep_closed_ms: 18.5,
-        }
-    }
-
-    fn sample_hpcg() -> HpcgBench {
-        HpcgBench {
-            grid: "32x32x32".into(),
-            spmv_csr_gflops: 2.0,
-            spmv_csr_gbs_dram_floor: 18.0,
-            spmv_csr_gbs_moved: 26.0,
-            spmv_stencil_gflops: 6.0,
-            spmv_stencil_gbs_dram_floor: 3.0,
-            spmv_stencil_gbs_moved: 42.0,
-            symgs_seq_sweeps_per_sec: 100.0,
-            symgs_colored_sweeps_per_sec: 250.0,
-            vcycle_ms_1t: 40.0,
-            vcycle_ms_nt: 10.0,
-        }
-    }
-
-    #[test]
-    fn json_shape_is_well_formed() {
-        let hb = HostBench {
-            detected_cores: 4,
-            pool_threads: 4,
+    /// A snapshot on a `pool_threads`-wide pool (as many detected cores)
+    /// with one kernel row that triples on a wider pool.
+    fn sample(pool_threads: usize) -> HostBench {
+        HostBench {
+            detected_cores: pool_threads,
+            pool_threads,
             rayon_threads_env: None,
             kernels: vec![KernelBench {
                 name: "stream_triad",
                 metric: "GB/s",
                 size: "n=10".into(),
                 value_1t: 10.0,
-                value_nt: 30.0,
+                value_nt: if pool_threads > 1 { 30.0 } else { 10.0 },
             }],
-            network: sample_network(),
-            hpcg: sample_hpcg(),
-        };
+            network: NetworkBench {
+                route_topology: "TofuD [4, 2, 2, 2, 3, 2] (192 nodes)".into(),
+                routes_per_sec: 5.0e7,
+                baseline_routes_per_sec: 1.0e7,
+                route_enum_per_sec: 2.0e7,
+                sweep_topology: "TofuD [8, 4, 4, 2, 3, 2] (1536 nodes)".into(),
+                sweep_ms_1t: 200.0,
+                sweep_ms_nt: 50.0,
+                folded_topology: "TofuD [24, 23, 24, 2, 3, 2] (158976 nodes)".into(),
+                folded_routes_per_sec: 1.5e9,
+                folded_build_ms: 40.0,
+                folded_table_bytes: 9_582_978,
+                sweep_10k_topology: "TofuD [12, 12, 6, 2, 3, 2] (10368 nodes)".into(),
+                sweep_10k_closed_ms: 1.25,
+                fugaku_sweep_closed_ms: 18.5,
+            },
+            hpcg: HpcgBench {
+                grid: "32x32x32".into(),
+                spmv_csr_gflops: 2.0,
+                spmv_csr_gbs_dram_floor: 18.0,
+                spmv_csr_gbs_moved: 26.0,
+                spmv_stencil_gflops: 6.0,
+                spmv_stencil_gbs_dram_floor: 3.0,
+                spmv_stencil_gbs_moved: 42.0,
+                symgs_seq_sweeps_per_sec: 100.0,
+                symgs_colored_sweeps_per_sec: 250.0,
+                vcycle_ms_1t: 40.0,
+                vcycle_ms_nt: 10.0,
+            },
+            cache: vec![],
+        }
+    }
+
+    /// `section.key` of the rendered snapshot, which must parse; an array
+    /// section reads its first row.
+    fn field(hb: &HostBench, section: &str, key: &str) -> Value {
+        let j = hb.to_json();
+        let v = json::parse(&j).unwrap_or_else(|e| panic!("snapshot does not parse ({e}):\n{j}"));
+        let s = v.get(section).expect("section present");
+        let row = s.as_array().map_or(s, |rows| &rows[0]);
+        row.get(key)
+            .cloned()
+            .unwrap_or_else(|| panic!("{section}.{key} missing:\n{j}"))
+    }
+
+    #[test]
+    fn json_shape_is_well_formed() {
+        let hb = sample(4);
         let j = hb.to_json();
         assert!(j.contains("\"detected_cores\": 4"));
         assert!(j.contains("\"rayon_num_threads_env\": null"));
@@ -1086,7 +776,10 @@ mod tests {
         assert!(j.contains("\"symgs_speedup\": 2.500"));
         assert!(j.contains("\"vcycle_wall_ms_4_threads\": 10.00"));
         assert!(j.contains("\"vcycle_speedup\": 4.000"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(field(&hb, "host", "detected_cores"), Value::Num(4.0));
+        assert_eq!(field(&hb, "host", "rayon_num_threads_env"), Value::Null);
+        assert_eq!(field(&hb, "kernels", "speedup"), Value::Num(3.0));
+        assert_eq!(field(&hb, "hpcg", "vcycle_speedup"), Value::Num(4.0));
     }
 
     #[test]
@@ -1095,20 +788,7 @@ mod tests {
         // `value_1_thread` AND `value_1_threads` per kernel plus a
         // "speedup" that was pure measurement noise. A 1-wide pool must
         // emit one value column and null ratios.
-        let hb = HostBench {
-            detected_cores: 1,
-            pool_threads: 1,
-            rayon_threads_env: None,
-            kernels: vec![KernelBench {
-                name: "stream_triad",
-                metric: "GB/s",
-                size: "n=10".into(),
-                value_1t: 10.0,
-                value_nt: 10.0,
-            }],
-            network: sample_network(),
-            hpcg: sample_hpcg(),
-        };
+        let hb = sample(1);
         let j = hb.to_json();
         assert!(j.contains("\"value_1_thread\": 10.000"));
         assert!(!j.contains("\"value_1_threads\""));
@@ -1119,50 +799,81 @@ mod tests {
         assert!(j.contains("\"sweep_speedup\": null"));
         // The scale rows are thread-count-independent and stay.
         assert!(j.contains("\"folded_table_bytes\": 9582978"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(field(&hb, "kernels", "value_1_thread"), Value::Num(10.0));
+        for (section, key) in [
+            ("kernels", "speedup"),
+            ("hpcg", "vcycle_speedup"),
+            ("network", "sweep_speedup"),
+        ] {
+            assert_eq!(field(&hb, section, key), Value::Null, "{section}.{key}");
+        }
     }
 
     #[test]
     fn rayon_env_override_is_quoted() {
-        let hb = HostBench {
-            detected_cores: 8,
-            pool_threads: 2,
-            rayon_threads_env: Some("2".into()),
-            kernels: vec![],
-            network: sample_network(),
-            hpcg: sample_hpcg(),
-        };
+        let mut hb = sample(2);
+        hb.rayon_threads_env = Some("2".into());
         assert!(hb.to_json().contains("\"rayon_num_threads_env\": \"2\""));
+        // The override is outside input: a quote in it must not break the
+        // document.
+        for env in ["2", "2\"x"] {
+            hb.rayon_threads_env = Some(env.into());
+            let read = field(&hb, "host", "rayon_num_threads_env");
+            assert_eq!(read.as_str(), Some(env));
+        }
     }
 
     #[test]
     fn hpcg_ratios_handle_zero_denominators() {
-        let mut hp = sample_hpcg();
-        assert_eq!(hp.spmv_format_speedup(), 3.0);
-        assert_eq!(hp.symgs_speedup(), 2.5);
-        assert_eq!(hp.vcycle_speedup(), 4.0);
-        hp.spmv_csr_gflops = 0.0;
-        hp.symgs_seq_sweeps_per_sec = 0.0;
-        hp.vcycle_ms_nt = 0.0;
-        assert_eq!(hp.spmv_format_speedup(), 0.0);
-        assert_eq!(hp.symgs_speedup(), 0.0);
-        assert_eq!(hp.vcycle_speedup(), 0.0);
+        let mut hb = sample(4);
+        let ratios = |hb: &HostBench| {
+            ["spmv_format_speedup", "symgs_speedup", "vcycle_speedup"].map(|k| field(hb, "hpcg", k))
+        };
+        assert_eq!(ratios(&hb), [3.0, 2.5, 4.0].map(Value::Num));
+        hb.hpcg.spmv_csr_gflops = 0.0;
+        hb.hpcg.symgs_seq_sweeps_per_sec = 0.0;
+        hb.hpcg.vcycle_ms_nt = 0.0;
+        assert_eq!(ratios(&hb), [0.0; 3].map(Value::Num));
     }
 
     #[test]
     fn sweep_speedup_handles_zero_denominator() {
-        let mut nw = sample_network();
-        assert_eq!(nw.sweep_speedup(), 4.0);
-        nw.sweep_ms_nt = 0.0;
-        assert_eq!(nw.sweep_speedup(), 0.0);
+        let mut hb = sample(4);
+        assert_eq!(field(&hb, "network", "sweep_speedup"), Value::Num(4.0));
+        hb.network.sweep_ms_nt = 0.0;
+        assert_eq!(field(&hb, "network", "sweep_speedup"), Value::Num(0.0));
     }
 
     #[test]
     fn resolve_speedup_handles_zero_baseline() {
-        let mut nw = sample_network();
-        assert_eq!(nw.resolve_speedup(), 5.0);
-        nw.baseline_routes_per_sec = 0.0;
-        assert_eq!(nw.resolve_speedup(), 0.0);
+        let mut hb = sample(4);
+        assert_eq!(field(&hb, "network", "resolve_speedup"), Value::Num(5.0));
+        hb.network.baseline_routes_per_sec = 0.0;
+        assert_eq!(field(&hb, "network", "resolve_speedup"), Value::Num(0.0));
+    }
+
+    #[test]
+    fn speedup_handles_zero_baseline() {
+        let mut hb = sample(4);
+        hb.kernels[0].value_1t = 0.0;
+        assert_eq!(field(&hb, "kernels", "speedup"), Value::Num(0.0));
+    }
+
+    #[test]
+    fn snapshot_has_one_cache_row_per_registry_kernel() {
+        let mut hb = sample(4);
+        hb.cache = cte_arm_cache();
+        let v = json::parse(&hb.to_json()).expect("the snapshot parses");
+        let rows = v.get("cache").and_then(Value::as_array).expect("rows");
+        let kernels: Vec<&str> = rows
+            .iter()
+            .filter_map(|r| r.get("kernel")?.as_str())
+            .collect();
+        let keys: Vec<&str> = registry().iter().map(|e| e.key).collect();
+        assert_eq!(kernels, keys);
+        for key in ["dram_bytes", "nominal_bytes", "pct_peak_bw", "bound"] {
+            assert!(rows.iter().all(|r| r.get(key).is_some()), "no {key}");
+        }
     }
 
     #[test]
@@ -1184,153 +895,5 @@ mod tests {
         // The faster format must never report less moved traffic per
         // second than it reports arithmetic — sanity tie between columns.
         assert!(hp.spmv_stencil_gbs_moved > hp.spmv_stencil_gbs_dram_floor);
-    }
-
-    fn sample_serve() -> ServeBench {
-        ServeBench {
-            requests: 10,
-            queries: 50,
-            jobs: 2,
-            cold_batch_ms: 800.0,
-            warm_batch_ms: 2.0,
-            cold_misses: 45,
-            warm_disk_hits: 45,
-            warm_mem_hits: 5,
-            warm_misses: 0,
-            inflight_dedupe_misses: 1,
-        }
-    }
-
-    #[test]
-    fn serve_section_carries_every_key() {
-        let s = sample_serve().to_json_section();
-        for key in [
-            "\"serve\": {",
-            "\"batch\": \"tests/data/serve_batch_50.jsonl\"",
-            "\"requests\": 10",
-            "\"queries\": 50",
-            "\"jobs\": 2",
-            "\"cold_batch_ms\": 800.00",
-            "\"warm_batch_ms\": 2.00",
-            "\"warm_speedup\": 400.0",
-            "\"cold_misses\": 45",
-            "\"warm_disk_hits\": 45",
-            "\"warm_mem_hits\": 5",
-            "\"warm_misses\": 0",
-            "\"inflight_dedupe_misses\": 1",
-        ] {
-            assert!(s.contains(key), "serve section missing {key}:\n{s}");
-        }
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-    }
-
-    #[test]
-    fn serve_section_splices_into_the_snapshot() {
-        let hb = HostBench {
-            detected_cores: 4,
-            pool_threads: 4,
-            rayon_threads_env: None,
-            kernels: vec![],
-            network: sample_network(),
-            hpcg: sample_hpcg(),
-        };
-        let j = hb.to_json_with(&sample_serve().to_json_section());
-        assert!(j.contains("\"serve\": {"));
-        assert!(j.trim_end().ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn warm_speedup_handles_zero_denominator() {
-        let mut s = sample_serve();
-        assert_eq!(s.warm_speedup(), 400.0);
-        s.warm_batch_ms = 0.0;
-        assert_eq!(s.warm_speedup(), 0.0);
-    }
-
-    #[test]
-    fn serve_bench_measures_the_canned_batch() {
-        // The real thing, at jobs=2: the warm replay must be engine-free
-        // and the duplicate pair must cost one miss.
-        let sb = run_serve_bench(2);
-        assert_eq!((sb.requests, sb.queries), (10, 50));
-        assert_eq!(sb.cold_misses, 45, "unique-query count drifted");
-        assert_eq!(sb.warm_misses, 0, "warm replay reached the engine");
-        assert!(sb.warm_disk_hits > 0, "warm replay never touched the store");
-        assert_eq!(sb.inflight_dedupe_misses, 1, "single-flight dedupe broke");
-        assert!(sb.cold_batch_ms > 0.0 && sb.warm_batch_ms > 0.0);
-    }
-
-    fn sample_sched() -> SchedBench {
-        SchedBench {
-            machine: "fugaku".into(),
-            nodes: 158_976,
-            days: 3,
-            jobs_per_day: 40_000,
-            jobs: 120_000,
-            wall_s: 2.5,
-            jobs_per_sec: 48_000.0,
-            makespan_s: 262_000.0,
-            utilization: 0.71,
-            mean_wait_s: 310.0,
-            mean_compactness: 5.125,
-        }
-    }
-
-    #[test]
-    fn sched_section_carries_every_key() {
-        let s = sample_sched().to_json_section();
-        for key in [
-            "\"sched\": {",
-            "\"machine\": \"fugaku\"",
-            "\"nodes\": 158976",
-            "\"days\": 3",
-            "\"jobs_per_day\": 40000",
-            "\"jobs\": 120000",
-            "\"wall_s\": 2.500",
-            "\"jobs_per_sec\": 48000",
-            "\"makespan_s\": 262000",
-            "\"utilization\": 0.7100",
-            "\"mean_wait_s\": 310.0",
-            "\"mean_compactness\": 5.125",
-        ] {
-            assert!(s.contains(key), "sched section missing {key}:\n{s}");
-        }
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-    }
-
-    #[test]
-    fn sched_section_splices_next_to_serve() {
-        // bench-all splices cache, serve and sched as siblings; the
-        // combined extra must keep the JSON balanced.
-        let hb = HostBench {
-            detected_cores: 4,
-            pool_threads: 4,
-            rayon_threads_env: None,
-            kernels: vec![],
-            network: sample_network(),
-            hpcg: sample_hpcg(),
-        };
-        let extra = format!(
-            "{},\n{}",
-            sample_serve().to_json_section(),
-            sample_sched().to_json_section()
-        );
-        let j = hb.to_json_with(&extra);
-        assert!(j.contains("\"serve\": {"));
-        assert!(j.contains("\"sched\": {"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn speedup_handles_zero_baseline() {
-        let k = KernelBench {
-            name: "x",
-            metric: "GB/s",
-            size: String::new(),
-            value_1t: 0.0,
-            value_nt: 5.0,
-        };
-        assert_eq!(k.speedup(), 0.0);
     }
 }

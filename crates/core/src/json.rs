@@ -1,10 +1,16 @@
-//! A minimal JSON reader/writer for the `serve` wire protocol.
+//! A minimal JSON reader and writer.
 //!
 //! The workspace is dependency-free by policy (the vendored `serde` is a
 //! binary codec, not a JSON one), and the serve protocol only needs flat
 //! request objects, so a ~150-line recursive-descent parser is the whole
 //! story. Numbers are kept as `f64` — the protocol's only numeric fields
 //! are ids and node counts, both well inside the exact-integer range.
+//!
+//! `Writer` renders the pretty-printed `BENCH_host.json` snapshot
+//! (`hostbench`). Serve formats its compact wire responses itself, with
+//! [`escape`]: perfbench's traced what-if run rebuilds those bytes on its
+//! own and compares them, so they must not depend on a writer shared with
+//! the snapshot.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -259,9 +265,145 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Ordered, pretty-printing JSON writer: two-space indentation, one
+/// member per line, members in call order. It owns the commas, the
+/// indentation and string escaping, so callers only name keys and values.
+/// Non-finite numbers render as `null`, so the output always parses.
+pub(crate) struct Writer {
+    out: String,
+    depth: usize,
+}
+
+impl Writer {
+    /// Render a document whose root object holds what `body` writes.
+    pub fn document(body: impl FnOnce(&mut Writer)) -> String {
+        let mut w = Writer {
+            out: String::from("{"),
+            depth: 1,
+        };
+        body(&mut w);
+        w.out.push_str("\n}\n");
+        w.out
+    }
+
+    /// Member `key`: an object holding what `body` writes.
+    pub fn object(&mut self, key: &str, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container(Some(key), ('{', '}'), body)
+    }
+
+    /// Member `key`: an array of one object per item, each holding what
+    /// `row` writes for that item.
+    pub fn array<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut row: impl FnMut(&mut Self, T),
+    ) -> &mut Self {
+        self.container(Some(key), ('[', ']'), |w| {
+            for item in items {
+                w.container(None, ('{', '}'), |w| row(w, item));
+            }
+        })
+    }
+
+    /// Member `key`: a string.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        self.member(Some(key));
+        self.quoted(value);
+        self
+    }
+
+    /// Member `key`: a number with `decimals` fractional digits.
+    pub fn num(&mut self, key: &str, value: f64, decimals: usize) -> &mut Self {
+        self.member(Some(key));
+        if value.is_finite() {
+            let _ = write!(self.out, "{value:.decimals$}");
+        } else {
+            self.out.push_str("null");
+        }
+        self
+    }
+
+    /// Member `key`: an integer.
+    pub fn int(&mut self, key: &str, value: u64) -> &mut Self {
+        self.member(Some(key));
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// Member `key`: `null`.
+    pub fn null(&mut self, key: &str) -> &mut Self {
+        self.member(Some(key));
+        self.out.push_str("null");
+        self
+    }
+
+    fn container(
+        &mut self,
+        key: Option<&str>,
+        (open, close): (char, char),
+        body: impl FnOnce(&mut Self),
+    ) -> &mut Self {
+        self.member(key);
+        self.out.push(open);
+        self.depth += 1;
+        body(self);
+        self.depth -= 1;
+        self.newline();
+        self.out.push(close);
+        self
+    }
+
+    /// Separate from the previous member, indent, and write `"key": `.
+    /// Only a container just opened leaves the output ending in a bracket:
+    /// every value ends in a digit, a letter, a quote or a close bracket.
+    fn member(&mut self, key: Option<&str>) {
+        if !self.out.ends_with(['{', '[']) {
+            self.out.push(',');
+        }
+        self.newline();
+        if let Some(key) = key {
+            self.quoted(key);
+            self.out.push_str(": ");
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        self.out.push_str(&"  ".repeat(self.depth));
+    }
+
+    fn quoted(&mut self, s: &str) {
+        self.out.push('"');
+        self.out.push_str(&escape(s));
+        self.out.push('"');
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn writer_pretty_prints_in_call_order() {
+        let doc = Writer::document(|w| {
+            w.object("b", |w| {
+                w.int("n", 7).num("x", 2.5, 3).null("z");
+            });
+            w.array("a", ["q\"uote\\", ""], |w, s| {
+                if !s.is_empty() {
+                    w.str("s", s);
+                }
+            });
+            w.array("empty", [(); 0], |_, _| {})
+                .num("inf", f64::INFINITY, 1);
+        });
+        let want = "{\n  \"b\": {\n    \"n\": 7,\n    \"x\": 2.500,\n    \"z\": null\n  },\n  \
+                    \"a\": [\n    {\n      \"s\": \"q\\\"uote\\\\\"\n    },\n    {\n    }\n  ],\n  \
+                    \"empty\": [\n  ],\n  \"inf\": null\n}\n";
+        assert_eq!(doc, want);
+        parse(&doc).expect("the writer's output parses");
+    }
 
     #[test]
     fn parses_the_protocol_shapes() {

@@ -31,7 +31,8 @@
 //! hpcg), `machine` (cte-arm | mn4), `nodes`, plus `io` (wrf: write
 //! history output) and `version` (hpcg: vanilla | optimized). A malformed
 //! or failing query yields `{"error":"…"}` in its result slot; a
-//! malformed request line yields `{"id":null,"error":"…"}`.
+//! malformed request line, a line that is not UTF-8, and a line longer
+//! than [`MAX_LINE_BYTES`] each yield one `{"id":null,"error":"…"}`.
 
 use crate::engine::{run_indexed, Ctx};
 use crate::json::{self, Value};
@@ -39,7 +40,7 @@ use apps::common::Cluster;
 use simkit::cache::TierCounters;
 use simkit::store::Store;
 use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -245,19 +246,21 @@ impl Query {
     }
 }
 
+/// The error line for a request that has no usable id.
+fn request_error(message: &str) -> String {
+    format!("{{\"id\":null,\"error\":\"{}\"}}", json::escape(message))
+}
+
 /// Render the response line for one raw request line. Pure except for
 /// cache effects in `ctx` — this is the unit both the server loop and the
 /// test batteries drive.
 pub fn respond(ctx: &Ctx, line: &str, jobs: usize) -> String {
     let parsed = match json::parse(line) {
         Ok(v) => v,
-        Err(e) => return format!("{{\"id\":null,\"error\":\"{}\"}}", json::escape(&e)),
+        Err(e) => return request_error(&e),
     };
-    let id = match parsed.get("id").and_then(Value::as_u64) {
-        Some(id) => id,
-        None => {
-            return "{\"id\":null,\"error\":\"request needs an integer 'id' field\"}".to_string()
-        }
+    let Some(id) = parsed.get("id").and_then(Value::as_u64) else {
+        return request_error("request needs an integer 'id' field");
     };
     let Some(queries) = parsed.get("queries").and_then(Value::as_array) else {
         return format!("{{\"id\":{id},\"error\":\"request needs a 'queries' array\"}}");
@@ -305,26 +308,60 @@ pub struct ServeSummary {
     pub counters: TierCounters,
 }
 
+/// Longest request line [`serve`] reads, in bytes, not counting its
+/// final `\n`. A longer line is answered with one error line and the rest of
+/// it is skipped unbuffered, so no input can grow the server's memory.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Read the next line into `buf` without its line ending, holding at most
+/// [`MAX_LINE_BYTES`] of it. `None` at end of input; `Some(false)` when
+/// the line was longer than the cap, in which case the rest of it, up to
+/// and including its newline, has been consumed and dropped.
+fn read_capped_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    buf.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    if input.by_ref().take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        input.skip_until(b'\n')?;
+        return Ok(Some(false));
+    }
+    Ok(Some(true))
+}
+
 /// Serve line-delimited JSON requests from `input` to `output` until EOF.
 /// Each response line is flushed before the next request is read, so a
-/// driving process can pipeline. Batch statistics go to `log`.
+/// driving process can pipeline. A line that is not UTF-8 or is longer
+/// than [`MAX_LINE_BYTES`] gets one error line, and serving carries on
+/// with the next line. Batch statistics go to `log`.
 pub fn serve(
     ctx: &Ctx,
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     mut log: impl Write,
     jobs: usize,
 ) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
     let before = ctx.cache.counters();
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
+    let mut buf = Vec::new();
+    while let Some(fits) = read_capped_line(&mut input, &mut buf)? {
         let started = Instant::now();
         let counters_at = ctx.cache.counters();
-        let response = respond(ctx, &line, jobs);
+        let response = if fits {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => respond(ctx, line, jobs),
+                Err(_) => request_error("request line is not valid UTF-8"),
+            }
+        } else {
+            request_error(&format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        };
         output.write_all(response.as_bytes())?;
         output.write_all(b"\n")?;
         output.flush()?;

@@ -79,7 +79,7 @@ impl WorkloadSpec {
 }
 
 /// A multi-day production submission stream at machine scale — the input
-/// of `cluster-eval sched-replay` and the `"sched"` host bench.
+/// of `cluster-eval sched-replay` and perfbench's `sched-replay` workload.
 ///
 /// Compared to [`WorkloadSpec`] (a single day of 150 jobs on CTE-Arm),
 /// this models the mix the full-Fugaku replay needs: **log-normal-ish

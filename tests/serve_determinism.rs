@@ -9,10 +9,12 @@
 //! * **In-flight dedupe** — two identical queries in one parallel batch
 //!   cost exactly one engine miss; the second is a memory hit.
 //! * **Deterministic failure** — malformed requests and failing queries
-//!   produce stable, in-order error lines, not dropped responses.
+//!   produce stable, in-order error lines, not dropped responses; a line
+//!   that is not UTF-8 or longer than the line cap gets one error line and
+//!   the session carries on.
 
 use cluster_eval::engine::Ctx;
-use cluster_eval::serve::{open_store, respond, run_batch};
+use cluster_eval::serve::{open_store, respond, run_batch, MAX_LINE_BYTES};
 use std::path::Path;
 
 mod common;
@@ -175,4 +177,58 @@ fn serve_loop_streams_one_line_per_request() {
     let text = String::from_utf8(out).expect("utf8 responses");
     assert_eq!(text.lines().count(), 10);
     assert_eq!(run_batch(&Ctx::new(), &batch, 2).join("\n") + "\n", text);
+}
+
+/// Drive the real reader/writer loop over a valid request, the `bad`
+/// line and another valid request, and return the response lines.
+fn serve_around(bad: &[u8]) -> Vec<String> {
+    let first = r#"{"id": 1, "queries": [{"app": "hpl", "machine": "cte-arm", "nodes": 4}]}"#;
+    let last = r#"{"id": 2, "queries": [{"app": "hpl", "machine": "mn4", "nodes": 4}]}"#;
+    let input = [first.as_bytes(), bad, last.as_bytes()].join(&b'\n');
+    let mut out = Vec::new();
+    let summary = cluster_eval::serve::serve(
+        &Ctx::new(),
+        std::io::BufReader::new(input.as_slice()),
+        &mut out,
+        std::io::sink(),
+        2,
+    )
+    .expect("a bad line must not end the session");
+    assert_eq!(summary.requests, 3);
+    let lines: Vec<String> = String::from_utf8(out)
+        .expect("utf8 responses")
+        .lines()
+        .map(String::from)
+        .collect();
+    let ctx = Ctx::new();
+    assert_eq!(
+        lines.len(),
+        3,
+        "one response line per input line: {lines:?}"
+    );
+    assert_eq!(lines[0], respond(&ctx, first, 1));
+    assert_eq!(lines[2], respond(&ctx, last, 1));
+    lines
+}
+
+#[test]
+fn invalid_utf8_line_is_answered_and_skipped() {
+    let lines = serve_around(b"\xff\xfe");
+    assert_eq!(
+        lines[1],
+        "{\"id\":null,\"error\":\"request line is not valid UTF-8\"}"
+    );
+}
+
+#[test]
+fn overlong_line_is_answered_and_skipped() {
+    // A valid request padded past the cap: it must be refused whole, and
+    // its tail must not be read as a request of its own.
+    let mut bad = br#"{"id": 9, "queries": []}"#.to_vec();
+    bad.resize(MAX_LINE_BYTES + 100, b' ');
+    let lines = serve_around(&bad);
+    assert_eq!(
+        lines[1],
+        format!("{{\"id\":null,\"error\":\"request line longer than {MAX_LINE_BYTES} bytes\"}}")
+    );
 }
