@@ -20,12 +20,10 @@
 //! The real computational kernels behind these proxies (FEM assembly,
 //! C-grid stencils, LJ force loops, FFT/Legendre transforms) live in
 //! [`kernels`] and are exercised directly by this crate's tests.
-//! [`capacity`] derives the memory minimums behind Table IV's "NP" cells.
 
 #![warn(missing_docs)]
 
 pub mod alya;
-pub mod capacity;
 pub mod common;
 pub mod gromacs;
 pub mod nemo;

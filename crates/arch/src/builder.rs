@@ -9,7 +9,7 @@
 
 use crate::machines::Machine;
 use crate::memory::MemoryModel;
-use simkit::units::{Bandwidth, Bytes};
+use simkit::units::Bytes;
 
 /// Fluent construction of machine variants.
 #[derive(Debug, Clone)]
@@ -69,12 +69,6 @@ impl MachineBuilder {
     pub fn with_scalar_ilp(mut self, ilp: f64) -> Self {
         assert!(ilp > 0.0 && ilp <= 1.0, "scalar ILP in (0, 1]");
         self.machine.core.scalar_ilp = ilp;
-        self
-    }
-
-    /// Change the network injection peak.
-    pub fn with_network_peak(mut self, bw: Bandwidth) -> Self {
-        self.machine.network_peak = bw;
         self
     }
 

@@ -16,7 +16,6 @@
 //! (low intensity) nearly closes the gap while Assembly (high intensity)
 //! does not.
 
-use crate::cachesim::{CacheSim, HierarchyConfig, Trace};
 use crate::compiler::Compiler;
 use crate::machines::Machine;
 use serde::{Deserialize, Serialize};
@@ -111,77 +110,9 @@ impl Roofline {
     }
 }
 
-/// A cache-aware roofline point for one kernel: the classic roofline
-/// places a kernel at its *nominal* intensity (flops ÷ bytes the code
-/// touches); the cache-aware point uses the *simulated DRAM traffic*
-/// instead, which moves kernels with reuse (GEMM, stencils) to the
-/// right and leaves pure streams exactly where the flat model put them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CacheRooflinePoint {
-    /// Kernel name (from the trace).
-    pub kernel: String,
-    /// Flops in the traced region.
-    pub flops: f64,
-    /// Nominal (flat-counted) bytes of the trace.
-    pub nominal_bytes: f64,
-    /// Simulated DRAM bytes of the trace.
-    pub dram_bytes: f64,
-    /// Nominal arithmetic intensity, flop/byte.
-    pub nominal_intensity: f64,
-    /// Cache-aware arithmetic intensity, flop/byte.
-    pub effective_intensity: f64,
-}
-
-/// Cache-aware roofline: the flat [`Roofline`] plus a hierarchy config
-/// used to place kernels at their simulated-traffic intensity.
-///
-/// This is additive — the serialized [`Roofline`] stays untouched so
-/// existing golden files remain byte-identical.
-#[derive(Debug, Clone)]
-pub struct CacheRoofline {
-    /// The flat roofline (ceilings and sustained bandwidth).
-    pub roofline: Roofline,
-    /// The cache hierarchy traces are simulated against.
-    pub hierarchy: HierarchyConfig,
-}
-
-impl CacheRoofline {
-    /// Build from a machine/toolchain pair and a hierarchy config.
-    pub fn build(machine: &Machine, compiler: &Compiler, hierarchy: HierarchyConfig) -> Self {
-        Self {
-            roofline: Roofline::build(machine, compiler),
-            hierarchy,
-        }
-    }
-
-    /// Place a kernel on the roofline: simulate its trace and report both
-    /// the nominal and the cache-aware intensity.
-    pub fn place(&self, flops: f64, trace: &Trace) -> CacheRooflinePoint {
-        assert!(flops >= 0.0, "negative flop count");
-        let sim = CacheSim::new(self.hierarchy.clone()).run(trace);
-        let nominal_bytes = sim.nominal_bytes as f64;
-        let dram_bytes = sim.dram_bytes() as f64;
-        CacheRooflinePoint {
-            kernel: trace.name.clone(),
-            flops,
-            nominal_bytes,
-            dram_bytes,
-            nominal_intensity: flops / nominal_bytes.max(1.0),
-            effective_intensity: flops / dram_bytes.max(1.0),
-        }
-    }
-
-    /// Attainable flop/s for a placed kernel under a ceiling, using the
-    /// cache-aware intensity.
-    pub fn attainable(&self, ceiling: usize, point: &CacheRooflinePoint) -> f64 {
-        self.roofline.attainable(ceiling, point.effective_intensity)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cachesim::TraceBuilder;
     use crate::machines::{cte_arm, marenostrum4};
 
     #[test]
@@ -250,47 +181,6 @@ mod tests {
                 assert!(b >= a, "attainable never decreases with intensity");
             }
         }
-    }
-
-    #[test]
-    fn cache_roofline_moves_reuse_kernels_right() {
-        let cr = CacheRoofline::build(
-            &cte_arm(),
-            &Compiler::fujitsu(),
-            HierarchyConfig::a64fx_core(),
-        );
-        // Streaming triad: effective == nominal intensity exactly.
-        let n = 1u64 << 16;
-        let mut t = TraceBuilder::new("triad");
-        let a = t.array("a", 8 * n);
-        let b = t.array("b", 8 * n);
-        let c = t.array("c", 8 * n);
-        t.open(n);
-        t.read(b, 0, &[8]);
-        t.read(c, 0, &[8]);
-        t.write(a, 0, &[8]);
-        t.close();
-        let triad = cr.place(2.0 * n as f64, &t.build());
-        assert_eq!(triad.nominal_bytes, triad.dram_bytes);
-
-        // A cache-resident re-read loop: effective intensity far higher.
-        let m = 2048u64;
-        let mut t = TraceBuilder::new("reread");
-        let x = t.array("x", 8 * m);
-        t.open(16);
-        t.open(m);
-        t.read(x, 0, &[0, 8]);
-        t.close();
-        t.close();
-        let hot = cr.place(2.0 * (16 * m) as f64, &t.build());
-        assert!(
-            hot.effective_intensity > 5.0 * hot.nominal_intensity,
-            "reuse: nominal {} vs effective {}",
-            hot.nominal_intensity,
-            hot.effective_intensity
-        );
-        // And the cache-aware attainable reflects that.
-        assert!(cr.attainable(0, &hot) > cr.attainable(0, &triad));
     }
 
     #[test]

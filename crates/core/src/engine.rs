@@ -5,12 +5,11 @@
 //! Alya study, Table IV revisits node counts every figure already measured
 //! — so each run owns a [`Ctx`] whose [`Cache`] memoizes those
 //! sub-results. To keep the hit/miss accounting deterministic under
-//! parallelism, each [`Experiment`](crate::experiments::Experiment)
-//! declares `deps`: the experiments that *produce* the cache entries it
-//! reuses. The scheduler never starts an experiment before its deps
-//! finish, so the producer always takes the misses and the consumer always
-//! takes the hits — `--jobs 1` and `--jobs 16` report identical numbers
-//! and bit-identical artifacts.
+//! parallelism, each [`Experiment`] declares `deps`: the experiments that
+//! *produce* the cache entries it reuses. The scheduler never starts an
+//! experiment before its deps finish, so the producer always takes the
+//! misses and the consumer always takes the hits — `--jobs 1` and
+//! `--jobs 16` report identical numbers and bit-identical artifacts.
 
 use crate::experiments::{Artifact, Experiment};
 use simkit::cache::Cache;

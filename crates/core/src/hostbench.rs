@@ -18,8 +18,8 @@
 //!
 //! Every measurement uses calibrated best-of-k timing: one warm-up call
 //! estimates the closure's wall time, reps are auto-scaled so every timed
-//! batch runs at least [`TARGET_BATCH_SECS`], and the reported number is
-//! the best per-rep time over [`BATCHES`] batches. That keeps a
+//! batch runs at least `TARGET_BATCH_SECS` (25 ms), and the reported
+//! number is the best per-rep time over `BATCHES` (5) batches. That keeps a
 //! microsecond kernel from being timed as a single clock-granularity
 //! sample, so run-to-run deltas in `BENCH_host.json` reflect the code, not
 //! the timer. The kernels themselves are the real `crates/kernels`

@@ -236,11 +236,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run of plain characters up to the next quote or
+                // backslash as one slice. Both are ASCII, so the run ends
+                // on a char boundary, and each byte is validated once.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&b[*pos..end]).map_err(|_| "invalid UTF-8")?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -420,6 +425,19 @@ mod tests {
         let v = parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
         assert_eq!(escape("a\"b\\c\nd"), r#"a\"b\\c\nd"#);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Serve admits request lines up to 1 MiB, so parse time must stay
+        // linear in the length of one string value.
+        let unit = "plain text aé€𝄞 \"quoted\" back\\slash\n";
+        let s = unit.repeat(512 * 1024 / unit.len() + 1);
+        let doc = format!("{{\"k\": \"{}\"}}", escape(&s));
+        let t0 = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("k").and_then(Value::as_str), Some(s.as_str()));
+        assert!(t0.elapsed().as_secs_f64() < 2.0, "took {:?}", t0.elapsed());
     }
 
     #[test]

@@ -29,20 +29,6 @@ pub fn generate_report(out_dir: &Path) -> io::Result<Vec<Artifact>> {
     Ok(artifacts)
 }
 
-/// Render every experiment to one concatenated text report (no I/O).
-pub fn render_full_report() -> String {
-    let mut out = String::new();
-    out.push_str("A64FX cluster evaluation — regenerated paper artifacts\n");
-    out.push_str("======================================================\n\n");
-    let ctx = Ctx::new();
-    for exp in all_experiments().into_iter().chain(extension_experiments()) {
-        let artifact = (exp.run)(&ctx);
-        out.push_str(&artifact.to_text());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
 //! # hpcg — the HPCG benchmark (Fig. 7)
 //!
-//! Like [`hpl`], two halves:
+//! Like the `hpl` crate, two halves:
 //!
 //! * The **real algorithm** — 27-point operator, symmetric Gauss–Seidel,
 //!   preconditioned CG — lives in [`kernels::cg`] and is exercised end to
@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod distributed;
-pub mod output;
 
 use arch::compiler::Language;
 use arch::machines::Machine;

@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod distributed;
-pub mod hpldat;
 
 use arch::machines::Machine;
 use interconnect::link::LinkModel;

@@ -28,13 +28,11 @@
 //! `hops`/`sharing` are an O(1) same-leaf test. [`routing::RouteSteps`]
 //! enumerates routes without allocating, the sweeps fan out over the
 //! rayon pool with chunk-ordered (bit-deterministic) reductions, and
-//! [`sweep`] prices uniform-traffic link loads, bisection crossings and
-//! mean pairwise hops in exact per-dimension closed forms, no all-pairs
-//! enumeration at all.
+//! [`sweep`] prices uniform-traffic link loads and mean pairwise hops in
+//! exact per-dimension closed forms, no all-pairs enumeration at all.
 
 #![warn(missing_docs)]
 
-pub mod bisection;
 pub mod fattree;
 pub mod faults;
 pub mod folded;

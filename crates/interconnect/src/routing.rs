@@ -441,24 +441,6 @@ impl LinkLoad {
         }
     }
 
-    /// Loads of the links that carried any traffic.
-    pub fn used(&self) -> impl Iterator<Item = u64> + '_ {
-        self.counts.iter().copied().filter(|&c| c > 0)
-    }
-
-    /// Iterate `(from, dim, dir, load)` over used links.
-    pub fn iter_used(&self) -> impl Iterator<Item = (NodeId, usize, i8, u64)> + '_ {
-        self.counts.iter().enumerate().filter_map(|(i, &c)| {
-            if c == 0 {
-                return None;
-            }
-            let dir = if i % 2 == 1 { 1 } else { -1 };
-            let dim = (i / 2) % DIMS;
-            let node = i / (2 * DIMS);
-            Some((NodeId(node), dim, dir, c))
-        })
-    }
-
     /// `(max, mean)` load over used links; `(0, 0)` when nothing was
     /// recorded.
     pub fn max_mean(&self) -> (f64, f64) {
@@ -619,12 +601,6 @@ mod tests {
         assert_eq!(load.get(NodeId(7), 3, 1), 2);
         assert_eq!(load.get(NodeId(7), 3, -1), 1);
         assert_eq!(load.get(NodeId(7), 2, 1), 0);
-        let used: Vec<_> = load.iter_used().collect();
-        assert_eq!(
-            used,
-            vec![(NodeId(7), 3, -1, 1), (NodeId(7), 3, 1, 2)],
-            "iter_used decodes slots back to (node, dim, dir)"
-        );
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //!
 //! ```text
 //! load(u, d, s)  = (n / ext_d) · W_d(u_d, s)          (per directed link)
-//! crossings(cut) = (n / ext_d)² · Σ_{cut ports} W_d(x, s)
 //! mean hops      = Σ_d (n / ext_d)² · S_d / (n² − n),  S_d = Σ_{p,q} dist_d(p, q)
 //! ```
 //!
@@ -144,40 +143,6 @@ pub fn uniform_mean_hops(topo: &TofuD) -> f64 {
         })
         .sum();
     total as f64 / (n * n - n) as f64
-}
-
-/// Total traversals of the ports crossing a half/half cut of dimension
-/// `dim` under uniform traffic — the closed-form core of
-/// [`crate::bisection::tofu_cut_traffic`].
-///
-/// # Panics
-/// Panics when `dim`'s extent is odd (the halves would be unequal).
-pub fn uniform_cut_crossings(topo: &TofuD, dim: usize) -> u64 {
-    let extent = topo.dims[dim];
-    assert!(
-        extent.is_multiple_of(2),
-        "cut dimension {dim} has odd extent {extent}"
-    );
-    let half = extent / 2;
-    let w = dim_port_loads(extent, topo.periodic[dim]);
-    // A port crosses the cut when it spans the half boundary (coordinate
-    // half-1 ↔ half) or, on a torus, the wrap boundary (ext-1 ↔ 0) — the
-    // same predicate the streamed path applies per link.
-    let mut port_sum = 0u64;
-    for x in 0..extent {
-        for (s, dir_is_fwd) in [(0usize, false), (1usize, true)] {
-            let crosses = if dir_is_fwd {
-                x == half - 1 || x == extent - 1
-            } else {
-                x == half || x == 0
-            };
-            if crosses {
-                port_sum += w.counts[x * 2 + s];
-            }
-        }
-    }
-    let completions = (topo.nodes() / extent) as u64;
-    completions * completions * port_sum
 }
 
 #[cfg(test)]

@@ -29,14 +29,13 @@
 //!   sizes), derived from the [`arch::cachesim`] A64FX cache model.
 //!
 //! Each kernel reports its operation counts (`flops()` / `bytes()`), which
-//! the simulator crates turn into [`arch`-style] kernel profiles; the
+//! the simulator crates turn into [`arch::cost::KernelProfile`]s; the
 //! kernels themselves run on the host for correctness tests and Criterion
 //! benchmarks.
 
 #![warn(missing_docs)]
 
 pub mod cg;
-pub mod f16;
 pub mod fem;
 pub mod fma;
 pub mod gemm;

@@ -71,11 +71,6 @@ impl DenseMatrix {
         &self.data[j * self.rows..(j + 1) * self.rows]
     }
 
-    /// Mutable column slice.
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        &mut self.data[j * self.rows..(j + 1) * self.rows]
-    }
-
     /// Raw data (column-major).
     pub fn data(&self) -> &[f64] {
         &self.data

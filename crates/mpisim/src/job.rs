@@ -333,53 +333,6 @@ impl<'a, T: Topology> Job<'a, T> {
         self.blocking(cost, Activity::Collective, "alltoall");
     }
 
-    /// Allreduce over a sub-communicator (e.g. HPL's grid rows/columns):
-    /// only the listed ranks synchronize and pay the cost; everyone else
-    /// keeps running.
-    ///
-    /// # Panics
-    /// Panics on duplicate or out-of-range ranks.
-    pub fn allreduce_among(&mut self, ranks: &[usize], bytes: Bytes) {
-        if ranks.len() <= 1 {
-            return;
-        }
-        let mut seen = vec![false; self.n_ranks()];
-        for &r in ranks {
-            assert!(r < self.n_ranks(), "rank out of range");
-            assert!(!seen[r], "duplicate rank in sub-communicator");
-            seen[r] = true;
-        }
-        let starts: Option<Vec<Time>> = self
-            .trace
-            .is_some()
-            .then(|| ranks.iter().map(|&r| self.clocks[r].now()).collect());
-        // Synchronize the subset.
-        let latest = ranks
-            .iter()
-            .map(|&r| self.clocks[r].now())
-            .fold(Time::ZERO, Time::max);
-        for &r in ranks {
-            self.clocks[r].advance_to(latest);
-        }
-        // Cost: how many distinct nodes does the subset span?
-        let mut nodes: Vec<_> = ranks.iter().map(|&r| self.layout.node_of(r)).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let per_node = ranks.len().div_ceil(nodes.len());
-        let algo = self.algo;
-        let cost = collectives::allreduce(per_node, bytes, algo, |b| self.intra_node_ptp(b))
-            + collectives::allreduce(nodes.len(), bytes, algo, |b| self.inter_node_ptp(b));
-        for &r in ranks {
-            self.clocks[r].advance(cost);
-        }
-        if let (Some(starts), Some(trace)) = (starts, self.trace.as_mut()) {
-            for (&r, &s) in ranks.iter().zip(&starts) {
-                let end = self.clocks[r].now();
-                trace.record(r, Activity::Collective, s, end, "allreduce(sub)");
-            }
-        }
-    }
-
     /// MPI_Gather of `bytes` per rank to rank 0.
     pub fn gather(&mut self, bytes: Bytes) {
         let rpn = self.layout.ranks_per_node;
@@ -849,30 +802,6 @@ mod tests {
             }
             assert!(job.elapsed().value() > 0.0, "{op} must cost time");
         }
-    }
-
-    #[test]
-    fn subset_allreduce_leaves_others_untouched() {
-        let (m, c, net) = cte_job(4, 4, 12);
-        let mut job = Job::new(&m, &c, &net, layout(&m, 4, 4, 12), 1).with_imbalance(0.0);
-        // Ranks 0, 4, 8, 12: one per node — a "grid column".
-        job.allreduce_among(&[0, 4, 8, 12], Bytes::kib(8.0));
-        let times = job.rank_times();
-        assert!(times[0].value() > 0.0);
-        assert_eq!(times[0], times[4]);
-        assert_eq!(times[1], Time::ZERO, "non-members untouched");
-        // The subset collective is cheaper than the full one.
-        let mut full = Job::new(&m, &c, &net, layout(&m, 4, 4, 12), 1).with_imbalance(0.0);
-        full.allreduce(Bytes::kib(8.0));
-        assert!(times[0] < full.elapsed());
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate rank")]
-    fn subset_allreduce_rejects_duplicates() {
-        let (m, c, net) = cte_job(2, 4, 12);
-        let mut job = Job::new(&m, &c, &net, layout(&m, 2, 4, 12), 1);
-        job.allreduce_among(&[0, 0], Bytes::kib(1.0));
     }
 
     #[test]

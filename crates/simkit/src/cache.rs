@@ -8,10 +8,10 @@
 //! recomputing it.
 //!
 //! Since the evaluation-as-a-service work the cache is **two-tier**: the
-//! in-memory table below, optionally backed by a disk
-//! [`Store`](crate::store::Store) shared across processes. Lookups go
-//! memory → disk → compute, and the accounting distinguishes the three
-//! outcomes ([`TierCounters`]: `mem_hits` / `disk_hits` / `misses`).
+//! in-memory table below, optionally backed by a disk [`Store`] shared
+//! across processes. Lookups go memory → disk → compute, and the
+//! accounting distinguishes the three outcomes ([`TierCounters`]:
+//! `mem_hits` / `disk_hits` / `misses`).
 //!
 //! The cache is concurrency-safe and *compute-once*: each key owns a slot
 //! protected by its own mutex, so when two callers race for the same key,

@@ -232,12 +232,6 @@ impl Flops {
     pub fn new(f: f64) -> Self {
         Self(f)
     }
-
-    /// Construct from gigaflops (1e9 flop).
-    #[inline]
-    pub fn giga(g: f64) -> Self {
-        Self(g * 1e9)
-    }
 }
 
 impl Bandwidth {

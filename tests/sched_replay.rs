@@ -2,11 +2,10 @@
 //! smoke table, and the committed golden under `tests/golden/sched/`.
 //!
 //! The smoke table runs a 300-job CTE-Arm workload with injected node
-//! failures through every policy, through **both** the run-indexed
-//! allocator and the scan oracle, and formats the stats with shortest-
-//! roundtrip `Display` — so a single changed bit anywhere in the
-//! scheduler shows up as a golden diff. Regenerate after an intended
-//! model change with:
+//! failures through every policy on the run-indexed allocator, and
+//! formats the stats with shortest-roundtrip `Display` — so a single
+//! changed bit anywhere in the scheduler shows up as a golden diff.
+//! Regenerate after an intended model change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test sched_replay
@@ -24,10 +23,10 @@ use common::{at, THREAD_LADDER};
 
 #[test]
 fn smoke_table_is_identical_at_1_2_8_threads() {
-    let baseline = at(1, smoke_table).expect("fast/oracle rows agree");
+    let baseline = at(1, smoke_table);
     assert_eq!(baseline.lines().count(), 5, "header + four policy rows");
     for threads in THREAD_LADDER {
-        let table = at(threads, smoke_table).expect("fast/oracle rows agree");
+        let table = at(threads, smoke_table);
         assert_eq!(table, baseline, "smoke table drifted at {threads} threads");
     }
 }

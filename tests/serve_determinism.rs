@@ -12,9 +12,16 @@
 //!   produce stable, in-order error lines, not dropped responses; a line
 //!   that is not UTF-8 or longer than the line cap gets one error line and
 //!   the session carries on.
+//! * **Hostile input** — any string survives an escape/parse round trip;
+//!   arbitrary byte lines between two valid requests each get one
+//!   parsable answer and never reach the engine's panic backstop; valid
+//!   but absurd queries each fail in their own slot without engine work.
 
 use cluster_eval::engine::Ctx;
+use cluster_eval::json::{self, Value};
 use cluster_eval::serve::{open_store, respond, run_batch, MAX_LINE_BYTES};
+use proptest::collection::vec;
+use proptest::prelude::*;
 use std::path::Path;
 
 mod common;
@@ -231,4 +238,141 @@ fn overlong_line_is_answered_and_skipped() {
         lines[1],
         format!("{{\"id\":null,\"error\":\"request line longer than {MAX_LINE_BYTES} bytes\"}}")
     );
+}
+
+/// Characters that stress the string codec: controls, quotes, backslashes,
+/// the escape-free ASCII range, and scalars from every UTF-8 width.
+fn hostile_char((class, raw): (u8, u32)) -> Option<char> {
+    let code = match class {
+        0 => raw % 0x80,
+        1 => [0x22, 0x5c, 0x2f, 0x0a, 0x0d, 0x09, 0x00, 0x1f, 0x7f][raw as usize % 9],
+        2 => raw % 0x1_0000,
+        _ => raw % 0x11_0000,
+    };
+    char::from_u32(code) // drops surrogates
+}
+
+/// Fragments a hostile request line is assembled from, space-separated:
+/// JSON syntax, the protocol's keys, bad escapes and multi-byte characters.
+const FRAGMENTS: &str = r#"{ } [ ] " : , \ \u \ud800 "id" "queries" -1 1e999 null true é€𝄞"#;
+
+/// Assemble a newline-free line from `(pick, byte)` draws: mostly
+/// fragments and ASCII bytes, with one draw in 32 an arbitrary byte, so
+/// lines both reach the parser and break UTF-8.
+fn hostile_line(parts: Vec<(usize, u8)>) -> Vec<u8> {
+    let fragments: Vec<&str> = FRAGMENTS.split(' ').collect();
+    let mut line = Vec::new();
+    for (pick, byte) in parts {
+        if let Some(fragment) = fragments.get(pick) {
+            line.extend_from_slice(fragment.as_bytes());
+            continue;
+        }
+        let byte = if pick == 31 { byte } else { byte % 0x80 };
+        line.push(if byte == b'\n' { b' ' } else { byte });
+    }
+    line
+}
+
+proptest! {
+    #[test]
+    fn escaped_strings_parse_back_exactly(chars in vec((0u8..4, 0u32..0x11_0000), 0..64)) {
+        let s: String = chars.iter().copied().filter_map(hostile_char).collect();
+        let parsed = json::parse(&format!("\"{}\"", json::escape(&s)));
+        prop_assert_eq!(parsed, Ok(Value::Str(s)));
+    }
+
+    #[test]
+    fn hostile_lines_get_one_parsable_answer_each(
+        lines in vec(vec((0usize..32, 0u8..=255), 0..48).prop_map(hostile_line), 1..6),
+    ) {
+        let first = br#"{"id": 1, "queries": []}"#;
+        let last = br#"{"id": 2, "queries": []}"#;
+        let mut input = first.to_vec();
+        for line in &lines {
+            input.push(b'\n');
+            input.extend_from_slice(line);
+        }
+        input.push(b'\n');
+        input.extend_from_slice(last);
+        let mut out = Vec::new();
+        let ctx = Ctx::new();
+        cluster_eval::serve::serve(&ctx, input.as_slice(), &mut out, std::io::sink(), 2)
+            .expect("a hostile line must not end the session");
+        // serve drops one trailing '\r' and skips blank lines unanswered.
+        let answered = lines
+            .iter()
+            .filter(|l| {
+                let l = l.strip_suffix(b"\r").unwrap_or(l);
+                !std::str::from_utf8(l).is_ok_and(|l| l.trim().is_empty())
+            })
+            .count();
+        let text = String::from_utf8(out).expect("utf8 responses");
+        let answers: Vec<&str> = text.lines().collect();
+        prop_assert_eq!(answers.len(), answered + 2, "{:?}", answers);
+        prop_assert_eq!(answers[0], r#"{"id":1,"results":[]}"#);
+        prop_assert_eq!(answers[answers.len() - 1], r#"{"id":2,"results":[]}"#);
+        for answer in &answers {
+            prop_assert!(json::parse(answer).is_ok(), "unparsable answer {answer}");
+            prop_assert!(!answer.contains("panicked in the engine"), "{answer}");
+        }
+    }
+}
+
+#[test]
+fn absurd_queries_fail_in_their_slots_without_engine_work() {
+    let cases = [
+        (
+            r#"{"app": "hpl", "machine": "cte-arm", "nodes": 0}"#,
+            "nodes=0 out of range for CTE-Arm (1..=192)",
+        ),
+        (
+            r#"{"app": "hpl", "machine": "cte-arm", "nodes": 193}"#,
+            "nodes=193 out of range for CTE-Arm (1..=192)",
+        ),
+        (
+            r#"{"app": "hpl", "machine": "cte-arm", "nodes": 9007199254740992}"#,
+            "nodes=9007199254740992 out of range for CTE-Arm (1..=192)",
+        ),
+        (
+            r#"{"app": "hpl", "machine": "cte-arm", "nodes": 1e300}"#,
+            "query needs an integer 'nodes' field",
+        ),
+        (
+            r#"{"app": "hpl", "machine": "cte-arm", "nodes": -1}"#,
+            "query needs an integer 'nodes' field",
+        ),
+        (
+            r#"{"app": "hpl", "machine": "cte-arm", "nodes": 1.5}"#,
+            "query needs an integer 'nodes' field",
+        ),
+        (
+            r#"{"app": "doom", "machine": "cte-arm", "nodes": 4}"#,
+            "unknown app 'doom' (alya | nemo | wrf | openifs | gromacs | hpl | hpcg)",
+        ),
+        (
+            r#"{"app": "hpl", "machine": "vax", "nodes": 4}"#,
+            "unknown machine 'vax' (cte-arm | mn4)",
+        ),
+        (
+            r#"{"app": "hpl", "machine": "cte-arm", "nodes": 4, "nodes": 0}"#,
+            "nodes=0 out of range for CTE-Arm (1..=192)",
+        ),
+    ];
+    let queries: Vec<&str> = cases.iter().map(|(q, _)| *q).collect();
+    let line = format!("{{\"id\": 5, \"queries\": [{}]}}", queries.join(", "));
+    let errors: Vec<String> = cases
+        .iter()
+        .map(|(_, e)| format!("{{\"error\":\"{e}\"}}"))
+        .collect();
+    let want = format!("{{\"id\":5,\"results\":[{}]}}", errors.join(","));
+    for jobs in THREAD_LADDER {
+        let ctx = Ctx::new();
+        assert_eq!(respond(&ctx, &line, jobs), want, "jobs={jobs}");
+        let c = ctx.cache.counters();
+        assert_eq!(
+            (c.mem_hits, c.disk_hits, c.misses),
+            (0, 0, 0),
+            "jobs={jobs}"
+        );
+    }
 }
