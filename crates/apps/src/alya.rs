@@ -140,8 +140,14 @@ impl Alya {
     /// Table IV revisits the 16-node point, so the first caller pays and
     /// the rest reuse.
     pub fn simulate_cached(&self, cache: &Cache, cluster: Cluster, nodes: usize) -> AppRun {
-        let key = CacheKey::new(cluster.label(), "alya", format!("{self:?}|nodes={nodes}"));
-        cache.get_or_persistent(key, || self.simulate(cluster, nodes))
+        cache.get_or_persistent(self.cache_key(cluster, nodes), || {
+            self.simulate(cluster, nodes)
+        })
+    }
+
+    /// The key [`Self::simulate_cached`] stores its run under.
+    pub fn cache_key(&self, cluster: Cluster, nodes: usize) -> CacheKey {
+        CacheKey::new(cluster.label(), "alya", format!("{self:?}|nodes={nodes}"))
     }
 
     /// Node counts plotted for each machine (paper: CTE-Arm 12–78,

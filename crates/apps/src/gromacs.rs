@@ -21,6 +21,11 @@ use simkit::cache::{Cache, CacheKey};
 use simkit::series::{Figure, Series};
 use simkit::units::{Bytes, Time};
 
+/// Ranks per node of the default, node-filling layout.
+const RANKS_PER_NODE: usize = 8;
+/// OpenMP threads per rank of the default layout.
+const THREADS_PER_RANK: usize = 6;
+
 /// The lignocellulose-rf workload model.
 #[derive(Debug, Clone)]
 pub struct Gromacs {
@@ -131,24 +136,41 @@ impl Gromacs {
         ranks_per_node: usize,
         threads_per_rank: usize,
     ) -> AppRun {
-        let key = CacheKey::new(
-            cluster.label(),
-            "gromacs",
-            format!("{self:?}|nodes={nodes}|rpn={ranks_per_node}|tpr={threads_per_rank}"),
-        );
+        let key = self.config_key(cluster, nodes, ranks_per_node, threads_per_rank);
         cache.get_or_persistent(key, || {
             self.simulate_config(cluster, nodes, ranks_per_node, threads_per_rank)
         })
     }
 
+    fn config_key(
+        &self,
+        cluster: Cluster,
+        nodes: usize,
+        ranks_per_node: usize,
+        threads_per_rank: usize,
+    ) -> CacheKey {
+        CacheKey::new(
+            cluster.label(),
+            "gromacs",
+            format!("{self:?}|nodes={nodes}|rpn={ranks_per_node}|tpr={threads_per_rank}"),
+        )
+    }
+
     /// Default configuration: 6 OpenMP threads per rank, node-filling.
     pub fn simulate(&self, cluster: Cluster, nodes: usize) -> AppRun {
-        self.simulate_config(cluster, nodes, 8, 6)
+        self.simulate_config(cluster, nodes, RANKS_PER_NODE, THREADS_PER_RANK)
     }
 
     /// Default configuration through a [`Cache`].
     pub fn simulate_cached(&self, cache: &Cache, cluster: Cluster, nodes: usize) -> AppRun {
-        self.simulate_config_cached(cache, cluster, nodes, 8, 6)
+        cache.get_or_persistent(self.cache_key(cluster, nodes), || {
+            self.simulate(cluster, nodes)
+        })
+    }
+
+    /// The key [`Self::simulate_cached`] stores its run under.
+    pub fn cache_key(&self, cluster: Cluster, nodes: usize) -> CacheKey {
+        self.config_key(cluster, nodes, RANKS_PER_NODE, THREADS_PER_RANK)
     }
 
     /// Days of wall-clock per simulated nanosecond (the y-axis of

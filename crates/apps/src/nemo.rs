@@ -97,8 +97,14 @@ impl Nemo {
     /// [`Self::simulate`] through a [`Cache`]: Table IV revisits the
     /// 16-node point that Fig. 11 already sweeps.
     pub fn simulate_cached(&self, cache: &Cache, cluster: Cluster, nodes: usize) -> AppRun {
-        let key = CacheKey::new(cluster.label(), "nemo", format!("{self:?}|nodes={nodes}"));
-        cache.get_or_persistent(key, || self.simulate(cluster, nodes))
+        cache.get_or_persistent(self.cache_key(cluster, nodes), || {
+            self.simulate(cluster, nodes)
+        })
+    }
+
+    /// The key [`Self::simulate_cached`] stores its run under.
+    pub fn cache_key(&self, cluster: Cluster, nodes: usize) -> CacheKey {
+        CacheKey::new(cluster.label(), "nemo", format!("{self:?}|nodes={nodes}"))
     }
 
     /// Node counts plotted (paper: CTE-Arm 8–192, MareNostrum 4 1–24).

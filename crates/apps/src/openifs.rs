@@ -16,6 +16,9 @@ use simkit::cache::{Cache, CacheKey};
 use simkit::series::{Figure, Series};
 use simkit::units::{Bytes, Time};
 
+/// Ranks per node of a node-filling run (MPI-only, as in the paper).
+const NODE_FILLING_RANKS: usize = 48;
+
 /// An OpenIFS input set.
 #[derive(Debug, Clone)]
 pub struct OpenIfs {
@@ -116,7 +119,7 @@ impl OpenIfs {
 
     /// Node-filling run (48 ranks per node, MPI-only as in the paper).
     pub fn simulate(&self, cluster: Cluster, nodes: usize) -> AppRun {
-        self.simulate_ranks(cluster, nodes, 48)
+        self.simulate_ranks(cluster, nodes, NODE_FILLING_RANKS)
     }
 
     /// [`Self::simulate_ranks`] through a [`Cache`]: Table IV's node
@@ -129,17 +132,29 @@ impl OpenIfs {
         nodes: usize,
         ranks_per_node: usize,
     ) -> AppRun {
-        let key = CacheKey::new(
+        cache.get_or_persistent(self.ranks_key(cluster, nodes, ranks_per_node), || {
+            self.simulate_ranks(cluster, nodes, ranks_per_node)
+        })
+    }
+
+    fn ranks_key(&self, cluster: Cluster, nodes: usize, ranks_per_node: usize) -> CacheKey {
+        CacheKey::new(
             cluster.label(),
             "openifs",
             format!("{self:?}|nodes={nodes}|rpn={ranks_per_node}"),
-        );
-        cache.get_or_persistent(key, || self.simulate_ranks(cluster, nodes, ranks_per_node))
+        )
     }
 
     /// Node-filling run through a [`Cache`].
     pub fn simulate_cached(&self, cache: &Cache, cluster: Cluster, nodes: usize) -> AppRun {
-        self.simulate_ranks_cached(cache, cluster, nodes, 48)
+        cache.get_or_persistent(self.cache_key(cluster, nodes), || {
+            self.simulate(cluster, nodes)
+        })
+    }
+
+    /// The key [`Self::simulate_cached`] stores its run under.
+    pub fn cache_key(&self, cluster: Cluster, nodes: usize) -> CacheKey {
+        self.ranks_key(cluster, nodes, NODE_FILLING_RANKS)
     }
 
     /// Fig. 14 — single-node study with TL255L91: x = MPI ranks.

@@ -109,12 +109,18 @@ impl Wrf {
         nodes: usize,
         io: bool,
     ) -> AppRun {
-        let key = CacheKey::new(
+        cache.get_or_persistent(self.cache_key(cluster, nodes, io), || {
+            self.simulate(cluster, nodes, io)
+        })
+    }
+
+    /// The key [`Self::simulate_cached`] stores its run under.
+    pub fn cache_key(&self, cluster: Cluster, nodes: usize, io: bool) -> CacheKey {
+        CacheKey::new(
             cluster.label(),
             "wrf",
             format!("{self:?}|nodes={nodes}|io={io}"),
-        );
-        cache.get_or_persistent(key, || self.simulate(cluster, nodes, io))
+        )
     }
 
     /// Fig. 16 — scalability with IO enabled and disabled.

@@ -216,9 +216,13 @@ pub fn run_experiments(experiments: Vec<Experiment>, jobs: usize, ctx: &Ctx) -> 
 /// `jobs` — the property the fault-campaign driver pins in its goldens.
 /// Like [`run_experiments`], the worker count is registered with the kernel
 /// runtime so tasks × pool threads never oversubscribe the core budget.
+/// With no tasks it returns at once and starts no thread.
 pub fn run_indexed<R: Send>(count: usize, jobs: usize, task: impl Fn(usize) -> R + Sync) -> Vec<R> {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let jobs = jobs.max(1).min(count.max(1));
+    if count == 0 {
+        return Vec::new();
+    }
+    let jobs = jobs.max(1).min(count);
     let _pool_budget = rayon::reserve_drivers(jobs);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();

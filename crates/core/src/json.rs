@@ -3,8 +3,10 @@
 //! The workspace is dependency-free by policy (the vendored `serde` is a
 //! binary codec, not a JSON one), and the serve protocol only needs flat
 //! request objects, so a ~150-line recursive-descent parser is the whole
-//! story. Numbers are kept as `f64` — the protocol's only numeric fields
-//! are ids and node counts, both well inside the exact-integer range.
+//! story. Numbers must match RFC 8259's grammar and are kept as `f64`; the
+//! protocol's only numeric fields are ids and node counts, which
+//! [`Value::as_u64`] admits only below 2^53, where every integer has an
+//! `f64` of its own, so no id is ever rounded into another.
 //!
 //! `Writer` renders the pretty-printed `BENCH_host.json` snapshot
 //! (`hostbench`). Serve formats its compact wire responses itself, with
@@ -58,12 +60,12 @@ impl Value {
         }
     }
 
-    /// The number as a non-negative integer, if it is one exactly.
+    /// The number as a non-negative integer below 2^53, if it is one
+    /// exactly. Larger integers are refused: 2^53 + 1 already parses to the
+    /// same `f64` as 2^53.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -185,15 +187,70 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
+/// Parse the run of number characters at `pos`, which must match
+/// RFC 8259's `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` whole.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
+    let run = &b[start..*pos];
+    std::str::from_utf8(run)
         .ok()
+        .filter(|_| is_json_number(run))
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("bad number at byte {start}"))
+}
+
+/// Does `s` match RFC 8259's number grammar?
+fn is_json_number(s: &[u8]) -> bool {
+    let mut i = 0;
+    let digits = |i: &mut usize| {
+        let from = *i;
+        while s.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i > from
+    };
+    if s.get(i) == Some(&b'-') {
+        i += 1;
+    }
+    match s.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => {
+            digits(&mut i);
+        }
+        _ => return false,
+    }
+    if s.get(i) == Some(&b'.') {
+        i += 1;
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    if matches!(s.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(s.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    i == s.len()
+}
+
+/// Read the four hex digits of a `\u` escape at `pos`.
+fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let hex = b.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
+    // `from_str_radix` alone would also take a sign: `\u+041`.
+    let code = std::str::from_utf8(hex)
+        .ok()
+        .filter(|h| h.bytes().all(|c| c.is_ascii_hexdigit()))
+        .and_then(|h| u32::from_str_radix(h, 16).ok())
+        .ok_or("bad \\u escape")?;
+    *pos += 4;
+    Ok(code)
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -221,15 +278,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'r' => out.push('\r'),
                     b't' => out.push('\t'),
                     b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        *pos += 4;
-                        // Surrogate pairs are not needed by the protocol;
-                        // map lone surrogates to the replacement character.
+                        let mut code = parse_hex4(b, pos)?;
+                        // A high surrogate followed by an escaped low one
+                        // is one scalar; a lone surrogate becomes U+FFFD.
+                        if (0xd800..0xdc00).contains(&code) && b[*pos..].starts_with(b"\\u") {
+                            let mut after = *pos + 2;
+                            let low = parse_hex4(b, &mut after)?;
+                            if (0xdc00..0xe000).contains(&low) {
+                                code = 0x1_0000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *pos = after;
+                            }
+                        }
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
                     other => return Err(format!("unknown escape '\\{}'", *other as char)),
@@ -425,6 +484,18 @@ mod tests {
         let v = parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
         assert_eq!(escape("a\"b\\c\nd"), r#"a\"b\\c\nd"#);
+        // A surrogate pair is one scalar; a lone or mismatched surrogate
+        // becomes U+FFFD, one per escape.
+        for (text, want) in [
+            (r#""\ud83d\ude00""#, "😀"),
+            (r#""\uD834\uDD1E""#, "𝄞"),
+            (r#""\ud800""#, "\u{fffd}"),
+            (r#""\udc00x""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}😀"),
+        ] {
+            assert_eq!(parse(text).unwrap().as_str(), Some(want), "{text}");
+        }
     }
 
     #[test]
@@ -447,6 +518,15 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("{1: 2}").is_err());
+        for bad in ["+1", ".5", "01", "1.", "-", "1e", "1.e3", "-01", "1e+"] {
+            assert_eq!(parse(bad), Err("bad number at byte 0".into()), "{bad}");
+        }
+        assert_eq!(
+            parse(r#"{"id": +1}"#),
+            Err("bad number at byte 7".into()),
+            "a signed id"
+        );
+        assert_eq!(parse(r#""\u+041""#), Err("bad \\u escape".into()));
     }
 
     #[test]
@@ -460,8 +540,19 @@ mod tests {
     #[test]
     fn numbers_and_literals() {
         assert_eq!(parse("-2.5e3").unwrap().as_f64(), Some(-2500.0));
+        assert_eq!(parse("0").unwrap().as_u64(), Some(0));
+        assert_eq!(parse("-0").unwrap().as_f64(), Some(0.0));
+        assert_eq!(parse("1E+2").unwrap().as_u64(), Some(100));
+        assert_eq!(parse("0.5e-1").unwrap().as_f64(), Some(0.05));
         assert_eq!(parse("true").unwrap().as_bool(), Some(true));
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        assert_eq!(
+            parse("9007199254740991").unwrap().as_u64(),
+            Some((1 << 53) - 1)
+        );
+        // 2^53 + 1 parses to the same f64 as 2^53: refuse both.
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
     }
 }

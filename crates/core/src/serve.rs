@@ -3,10 +3,15 @@
 //! A long-running front end for batched what-if queries: each input line
 //! is a JSON request naming a batch of `(app, machine, nodes, …)` points,
 //! each output line is the matching JSON response. Responses are emitted
-//! in request order; *within* a batch the queries are computed out of
-//! order across a worker pool ([`crate::engine::run_indexed`] puts every
-//! result back in its slot, so the response bytes never depend on the
-//! worker count).
+//! in request order. *Within* a request, a query whose result is already
+//! stored, in memory or on disk, is answered on the calling thread, and so
+//! is an invalid one: reading a stored result takes a few microseconds,
+//! less than starting a worker thread. Only the remaining queries are
+//! computed, out of order, on up to `--jobs` workers
+//! ([`crate::engine::run_indexed`]). Every result lands in its own slot and
+//! each query makes exactly one cache lookup wherever it runs, so the
+//! response bytes and the tier counts never depend on the worker count. A
+//! request whose queries are all stored starts no thread.
 //!
 //! Two identical queries in flight at once cost one engine miss: every
 //! simulation funnels through the shared [`Ctx`] cache, whose per-key slot
@@ -37,7 +42,8 @@
 use crate::engine::{run_indexed, Ctx};
 use crate::json::{self, Value};
 use apps::common::Cluster;
-use simkit::cache::TierCounters;
+use interconnect::link::LinkModel;
+use simkit::cache::{Cache, CacheKey, TierCounters};
 use simkit::store::Store;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Read, Write};
@@ -87,6 +93,14 @@ pub enum Query {
         /// Build variant.
         version: hpcg::HpcgVersion,
     },
+}
+
+/// The interconnect HPL runs over on each cluster.
+fn hpl_link(cluster: Cluster) -> LinkModel {
+    match cluster {
+        Cluster::CteArm => LinkModel::tofud(),
+        Cluster::MareNostrum4 => LinkModel::omnipath(),
+    }
 }
 
 fn parse_cluster(v: &Value) -> Result<Cluster, String> {
@@ -206,12 +220,9 @@ impl Query {
             }
             Query::Hpl { cluster, nodes } => {
                 let machine = cluster.machine();
-                let link = match cluster {
-                    Cluster::CteArm => interconnect::link::LinkModel::tofud(),
-                    Cluster::MareNostrum4 => interconnect::link::LinkModel::omnipath(),
-                };
                 let cfg = hpl::paper_config(&machine, *nodes);
-                let r = hpl::simulate_cached(&ctx.cache, &machine, &link, *nodes, &cfg);
+                let r =
+                    hpl::simulate_cached(&ctx.cache, &machine, &hpl_link(*cluster), *nodes, &cfg);
                 format!(
                     "{{\"app\":\"hpl\",\"machine\":\"{}\",\"nodes\":{nodes},\
                      \"gflops\":{},\"efficiency\":{},\"time_s\":{}}}",
@@ -244,6 +255,45 @@ impl Query {
             }
         }
     }
+
+    /// The key [`Self::answer`] looks its result up under, built by the
+    /// same key function as the model entry point it calls.
+    pub fn cache_key(&self) -> CacheKey {
+        match self {
+            Query::App {
+                app,
+                cluster,
+                nodes,
+                io,
+            } => {
+                let (cluster, nodes) = (*cluster, *nodes);
+                match app.as_str() {
+                    "alya" => apps::alya::Alya::test_case_b().cache_key(cluster, nodes),
+                    "nemo" => apps::nemo::Nemo::bench_orca1().cache_key(cluster, nodes),
+                    "wrf" => apps::wrf::Wrf::iberia_4km().cache_key(cluster, nodes, *io),
+                    "openifs" => apps::openifs::OpenIfs::tc0511l91().cache_key(cluster, nodes),
+                    "gromacs" => {
+                        apps::gromacs::Gromacs::lignocellulose_rf().cache_key(cluster, nodes)
+                    }
+                    other => unreachable!("Query::parse admitted app '{other}'"),
+                }
+            }
+            Query::Hpl { cluster, nodes } => {
+                let machine = cluster.machine();
+                let cfg = hpl::paper_config(&machine, *nodes);
+                hpl::cache_key(&machine, &hpl_link(*cluster), *nodes, &cfg)
+            }
+            Query::Hpcg {
+                cluster,
+                nodes,
+                version,
+            } => hpcg::cache_key(
+                &cluster.machine(),
+                *nodes,
+                &hpcg::HpcgConfig::paper(*version),
+            ),
+        }
+    }
 }
 
 /// The error line for a request that has no usable id.
@@ -251,9 +301,30 @@ fn request_error(message: &str) -> String {
     format!("{{\"id\":null,\"error\":\"{}\"}}", json::escape(message))
 }
 
+/// The result object for slot `i` of a request: the answer of a valid
+/// query, or the error of an invalid one.
+fn answer_slot(ctx: &Ctx, i: usize, query: &Result<Query, String>) -> String {
+    match query {
+        // Backstop for model-level panics (e.g. config asserts the
+        // validation does not know about): a failing query must poison
+        // its slot, not the server.
+        Ok(q) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.answer(ctx)))
+            .unwrap_or_else(|_| {
+                format!("{{\"error\":\"query {i} panicked in the engine — see server log\"}}")
+            }),
+        Err(e) => format!("{{\"error\":\"{}\"}}", json::escape(e)),
+    }
+}
+
 /// Render the response line for one raw request line. Pure except for
 /// cache effects in `ctx` — this is the unit both the server loop and the
 /// test batteries drive.
+///
+/// Queries whose results are stored, and invalid ones, are answered here
+/// on the calling thread; only the rest go to [`run_indexed`]'s `jobs`
+/// workers. Each result lands in its own slot, and the cache's
+/// single-flight slots let duplicate misses share one computation, so the
+/// bytes are independent of `jobs`.
 pub fn respond(ctx: &Ctx, line: &str, jobs: usize) -> String {
     let parsed = match json::parse(line) {
         Ok(v) => v,
@@ -265,36 +336,24 @@ pub fn respond(ctx: &Ctx, line: &str, jobs: usize) -> String {
     let Some(queries) = parsed.get("queries").and_then(Value::as_array) else {
         return format!("{{\"id\":{id},\"error\":\"request needs a 'queries' array\"}}");
     };
-    // Validate serially (cheap), evaluate in parallel (expensive). The
-    // per-slot design of `run_indexed` makes the output order — and with
-    // the cache's single-flight slots, the result bytes — independent of
-    // `jobs`.
-    let parsed_queries: Vec<Result<Query, String>> = queries.iter().map(Query::parse).collect();
-    let results = run_indexed(parsed_queries.len(), jobs, |i| match &parsed_queries[i] {
-        Ok(q) => {
-            // Backstop for model-level panics (e.g. config asserts the
-            // validation above does not know about): a failing query must
-            // poison its slot, not the server.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.answer(ctx))).unwrap_or_else(
-                |_| {
-                    format!(
-                        "{{\"error\":\"query {i} panicked in the engine — \
-                         see server log\"}}"
-                    )
-                },
-            )
+    let checked: Vec<Result<Query, String>> = queries.iter().map(Query::parse).collect();
+    let mut results = Vec::with_capacity(checked.len());
+    let mut misses = Vec::new();
+    for (i, query) in checked.iter().enumerate() {
+        if matches!(query, Ok(q) if !ctx.cache.is_stored(&q.cache_key())) {
+            misses.push(i);
+            results.push(String::new());
+        } else {
+            results.push(answer_slot(ctx, i, query));
         }
-        Err(e) => format!("{{\"error\":\"{}\"}}", json::escape(e)),
-    });
-    let mut out = format!("{{\"id\":{id},\"results\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(r);
     }
-    out.push_str("]}");
-    out
+    let computed = run_indexed(misses.len(), jobs, |k| {
+        answer_slot(ctx, misses[k], &checked[misses[k]])
+    });
+    for (&i, result) in misses.iter().zip(computed) {
+        results[i] = result;
+    }
+    format!("{{\"id\":{id},\"results\":[{}]}}", results.join(","))
 }
 
 /// What one [`serve`] session did, for the stderr summary.
@@ -408,7 +467,8 @@ pub struct SmokeReport {
 /// Cold/warm self-test over a canned batch file: replay it against a
 /// fresh store, then reopen the store in a new context and replay again.
 /// Fails unless the warm replay (a) produced byte-identical responses,
-/// (b) never missed into the engine, and (c) beat the cold replay by the
+/// (b) never missed into the engine, (c) answered every query on the
+/// calling thread, without a worker, and (d) beat the cold replay by the
 /// `speedup` factor the store exists to deliver.
 pub fn smoke(
     batch_path: &std::path::Path,
@@ -448,10 +508,12 @@ fn smoke_in(
     drop(cold_ctx); // flush the index, as a server shutdown would
 
     let warm_ctx = Ctx::with_store(open()?);
+    Cache::reset_thread_counters();
     let t1 = Instant::now();
     let warm_out = run_batch(&warm_ctx, lines, jobs);
     let warm_ms = t1.elapsed().as_secs_f64() * 1e3;
     let warm = warm_ctx.cache.counters();
+    let inline = Cache::thread_counters();
 
     if cold.misses == 0 {
         return Err("cold replay missed nothing — the batch exercised no simulations".into());
@@ -475,6 +537,11 @@ fn smoke_in(
     }
     if warm.disk_hits == 0 {
         return Err("warm replay never touched the disk tier".into());
+    }
+    if inline != warm {
+        return Err(format!(
+            "warm replay used workers: the calling thread answered {inline:?} of {warm:?}"
+        ));
     }
     if cold_ms < speedup * warm_ms {
         return Err(format!(
@@ -548,6 +615,30 @@ mod tests {
         );
         for forbidden in ["ms", "wall", "hit", "miss"] {
             assert!(!r.contains(forbidden), "'{forbidden}' leaked into {r}");
+        }
+    }
+
+    #[test]
+    fn every_query_variant_is_stored_under_its_cache_key() {
+        let variants = [
+            r#"{"app":"alya","machine":"mn4","nodes":4}"#,
+            r#"{"app":"nemo","machine":"mn4","nodes":1}"#,
+            r#"{"app":"wrf","machine":"cte-arm","nodes":1}"#,
+            r#"{"app":"wrf","machine":"cte-arm","nodes":1,"io":true}"#,
+            r#"{"app":"openifs","machine":"mn4","nodes":10}"#,
+            r#"{"app":"gromacs","machine":"cte-arm","nodes":1}"#,
+            r#"{"app":"hpl","machine":"mn4","nodes":2}"#,
+            r#"{"app":"hpcg","machine":"cte-arm","nodes":2,"version":"vanilla"}"#,
+            r#"{"app":"hpcg","machine":"cte-arm","nodes":2,"version":"optimized"}"#,
+        ];
+        for text in variants {
+            let query = Query::parse(&json::parse(text).expect("json")).expect(text);
+            let ctx = Ctx::new();
+            let key = query.cache_key();
+            assert!(!ctx.cache.is_stored(&key), "{text}");
+            query.answer(&ctx);
+            assert!(ctx.cache.is_stored(&key), "{text} stored under another key");
+            assert_eq!(ctx.cache.len(), 1, "{text}");
         }
     }
 

@@ -212,12 +212,18 @@ pub fn simulate_cached(
     nodes: usize,
     cfg: &HpcgConfig,
 ) -> HpcgResult {
-    let key = simkit::cache::CacheKey::new(
+    cache.get_or_persistent(cache_key(machine, nodes, cfg), || {
+        simulate(machine, nodes, cfg)
+    })
+}
+
+/// The key [`simulate_cached`] stores its result under.
+pub fn cache_key(machine: &Machine, nodes: usize, cfg: &HpcgConfig) -> simkit::cache::CacheKey {
+    simkit::cache::CacheKey::new(
         machine.name.clone(),
         "hpcg",
         format!("nodes={nodes}|cfg={cfg:?}"),
-    );
-    cache.get_or_persistent(key, || simulate(machine, nodes, cfg))
+    )
 }
 
 impl serde::bin::Encode for HpcgResult {

@@ -212,12 +212,23 @@ pub fn simulate_cached(
     nodes: usize,
     cfg: &HplConfig,
 ) -> HplResult {
-    let key = simkit::cache::CacheKey::new(
+    cache.get_or_persistent(cache_key(machine, link, nodes, cfg), || {
+        simulate(machine, link, nodes, cfg)
+    })
+}
+
+/// The key [`simulate_cached`] stores its result under.
+pub fn cache_key(
+    machine: &Machine,
+    link: &LinkModel,
+    nodes: usize,
+    cfg: &HplConfig,
+) -> simkit::cache::CacheKey {
+    simkit::cache::CacheKey::new(
         machine.name.clone(),
         "hpl",
         format!("nodes={nodes}|cfg={cfg:?}|link={link:?}"),
-    );
-    cache.get_or_persistent(key, || simulate(machine, link, nodes, cfg))
+    )
 }
 
 impl serde::bin::Encode for HplResult {

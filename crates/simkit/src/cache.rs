@@ -18,9 +18,11 @@
 //! the second blocks until the first finishes and then reuses the value —
 //! a single-flight map. Because the disk probe and the compute both happen
 //! under the slot lock, two concurrent identical queries cost exactly one
-//! disk read or one engine miss, never two. Values are stored type-erased;
-//! a lookup with the wrong type for an existing key panics, which would
-//! indicate two workloads sharing a key — a bug in key construction.
+//! disk read or one engine miss, never two. [`Cache::is_stored`] asks
+//! whether a lookup would be served without computing, without taking a
+//! slot or charging a counter. Values are stored type-erased; a lookup
+//! with the wrong type for an existing key panics, which would indicate
+//! two workloads sharing a key — a bug in key construction.
 //!
 //! Determinism contract: a cached value must be a pure function of its key.
 //! All simulations in this workspace derive their PCG seeds from their own
@@ -192,6 +194,24 @@ impl Cache {
         *value = Some(Arc::new(computed.clone()));
         self.charge_miss();
         computed
+    }
+
+    /// True when a lookup of `key` would be served without computing: the
+    /// memory slot holds a value, or the store's index holds the key's
+    /// hash. Creates no slot, charges no counter and never waits on a slot
+    /// another thread holds (it reads such a slot as not stored). A hash
+    /// collision can make this true for a key the store cannot serve;
+    /// [`Self::get_or_persistent`] then computes it.
+    pub fn is_stored(&self, key: &CacheKey) -> bool {
+        let slot = self.slots.lock().expect("cache map lock").get(key).cloned();
+        if let Some(slot) = slot {
+            match slot.try_lock() {
+                Ok(value) if value.is_some() => return true,
+                Ok(_) => {}
+                Err(_) => return false,
+            }
+        }
+        self.store.as_ref().is_some_and(|s| s.contains(key))
     }
 
     /// Total memory-tier hits across all threads.
@@ -392,6 +412,37 @@ mod tests {
             (cache.mem_hits(), cache.disk_hits(), cache.misses()),
             (1, 0, 1)
         );
+    }
+
+    #[test]
+    fn is_stored_probes_both_tiers_without_side_effects() {
+        let (store, dir) = temp_store("probe");
+        let key = CacheKey::new("m", "w", "p");
+        let other = CacheKey::new("m", "w", "q");
+
+        let cache = Cache::with_store(Arc::clone(&store));
+        Cache::reset_thread_counters();
+        assert!(!cache.is_stored(&key), "empty cache");
+        assert_eq!(cache.len(), 0, "probing must not create a slot");
+        assert_eq!(cache.counters(), TierCounters::default());
+        let _: f64 = cache.get_or_persistent(key.clone(), || 1.0);
+        assert!(cache.is_stored(&key), "memory tier after a compute");
+        assert!(!cache.is_stored(&other));
+        {
+            let slot = cache.slot(&key);
+            let _held = slot.lock().expect("slot lock");
+            assert!(!cache.is_stored(&key), "a held slot reads as not stored");
+        }
+
+        // A fresh cache over the same store: the disk tier answers.
+        let fresh = Cache::with_store(store);
+        Cache::reset_thread_counters();
+        assert!(fresh.is_stored(&key), "disk tier");
+        assert!(!fresh.is_stored(&other));
+        assert_eq!(fresh.len(), 0, "probing must not create a slot");
+        assert_eq!(fresh.counters(), TierCounters::default());
+        assert_eq!(Cache::thread_counters(), TierCounters::default());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -357,6 +357,14 @@ impl Store {
         self.inner.lock().expect("store lock").len
     }
 
+    /// True when the index holds a record under `key`'s hash. Reads no
+    /// record, so a hash collision answers true for a key that [`Self::get`]
+    /// then does not find.
+    pub fn contains(&self, key: &CacheKey) -> bool {
+        let inner = self.inner.lock().expect("store lock");
+        inner.index.contains_key(&key_hash(key))
+    }
+
     /// Look up `key`, decoding the stored value.
     ///
     /// # Panics

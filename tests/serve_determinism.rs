@@ -8,6 +8,10 @@
 //!   engine and is served from disk.
 //! * **In-flight dedupe** — two identical queries in one parallel batch
 //!   cost exactly one engine miss; the second is a memory hit.
+//! * **Hit path** — stored queries are answered on the calling thread, so
+//!   a warm replay charges every lookup to it at any `--jobs`, and a
+//!   request mixing stored, unstored, duplicate and invalid queries keeps
+//!   the bytes and the exact tier counts of a fresh context.
 //! * **Deterministic failure** — malformed requests and failing queries
 //!   produce stable, in-order error lines, not dropped responses; a line
 //!   that is not UTF-8 or longer than the line cap gets one error line and
@@ -22,6 +26,7 @@ use cluster_eval::json::{self, Value};
 use cluster_eval::serve::{open_store, respond, run_batch, MAX_LINE_BYTES};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use simkit::cache::{Cache, TierCounters};
 use std::path::Path;
 
 mod common;
@@ -122,6 +127,77 @@ fn identical_inflight_queries_cost_one_engine_miss() {
 }
 
 #[test]
+fn warm_replay_is_answered_on_the_calling_thread() {
+    let batch = canned_batch();
+    let dir = TempDir::new("serve-inline");
+    run_batch(
+        &Ctx::with_store(open_store(dir.path()).expect("open")),
+        &batch,
+        2,
+    );
+    for jobs in THREAD_LADDER {
+        let ctx = Ctx::with_store(open_store(dir.path()).expect("reopen"));
+        let before = ctx.cache.counters();
+        Cache::reset_thread_counters();
+        let _ = run_batch(&ctx, &batch, jobs);
+        let delta = ctx.cache.counters().since(&before);
+        assert_eq!(
+            (delta.mem_hits, delta.disk_hits, delta.misses),
+            (5, 45, 0),
+            "jobs={jobs}"
+        );
+        assert_eq!(
+            Cache::thread_counters(),
+            delta,
+            "a stored query went to a worker at jobs={jobs}"
+        );
+    }
+}
+
+#[test]
+fn mixed_requests_keep_bytes_and_ledger() {
+    // Slots: stored on disk, unstored, invalid, unstored, the first
+    // unstored again, stored in memory, the disk one again.
+    let on_disk = r#"{"app": "hpl", "machine": "cte-arm", "nodes": 4}"#;
+    let in_memory = r#"{"app": "hpcg", "machine": "mn4", "nodes": 2, "version": "vanilla"}"#;
+    let unstored = r#"{"app": "gromacs", "machine": "mn4", "nodes": 1}"#;
+    let other = r#"{"app": "wrf", "machine": "cte-arm", "nodes": 1, "io": true}"#;
+    let invalid = r#"{"app": "alya", "machine": "cte-arm", "nodes": 1}"#;
+    let request = |id: u32, queries: &[&str]| {
+        format!("{{\"id\": {id}, \"queries\": [{}]}}", queries.join(", "))
+    };
+    let mixed = request(
+        3,
+        &[
+            on_disk, unstored, invalid, other, unstored, in_memory, on_disk,
+        ],
+    );
+    let reference = respond(&Ctx::new(), &mixed, 1);
+    assert!(reference.contains("does not fit"), "{reference}");
+    for pool in THREAD_LADDER {
+        for jobs in THREAD_LADDER {
+            let dir = TempDir::new("serve-mixed");
+            respond(
+                &Ctx::with_store(open_store(dir.path()).expect("open")),
+                &request(1, &[on_disk]),
+                1,
+            );
+            let ctx = Ctx::with_store(open_store(dir.path()).expect("reopen"));
+            respond(&ctx, &request(2, &[in_memory]), 1);
+            let before = ctx.cache.counters();
+            Cache::reset_thread_counters();
+            let out = at(pool, || respond(&ctx, &mixed, jobs));
+            assert_eq!(out, reference, "pool={pool} jobs={jobs}");
+            let total = ctx.cache.counters().since(&before);
+            let calling = Cache::thread_counters();
+            let ledger = |c: TierCounters| (c.mem_hits, c.disk_hits, c.misses);
+            assert_eq!(ledger(total), (3, 1, 2), "pool={pool} jobs={jobs}");
+            assert_eq!(ledger(calling), (2, 1, 0), "pool={pool} jobs={jobs}");
+        }
+    }
+}
+
+#[test]
 fn dedupe_also_spans_requests_within_a_session() {
     // The canned batch repeats 5 of its 50 queries; a full serve session
     // must charge 45 misses and 5 memory hits, at every jobs level.
@@ -147,6 +223,8 @@ fn error_lines_are_deterministic_and_in_order() {
         r#"{"id": 8, "queries": [{"app": "hpl", "machine": "vax", "nodes": 4}]}"#.to_string(),
         // Hostile nesting must be an error line, not a stack overflow.
         "[".repeat(200_000),
+        // 2^53 + 1 parses to the f64 2^53: refused, not echoed as 2^53.
+        r#"{"id": 9007199254740993, "queries": []}"#.to_string(),
     ];
     let expected = [
         "{\"id\":null,\"error\":",
@@ -154,6 +232,7 @@ fn error_lines_are_deterministic_and_in_order() {
         "{\"id\":7,\"results\":[{\"error\":\"alya does not fit on 1 nodes of CTE-Arm (needs >= 12)\"}]}",
         "{\"id\":8,\"results\":[{\"error\":\"unknown machine 'vax' (cte-arm | mn4)\"}]}",
         "{\"id\":null,\"error\":\"nesting deeper than 64 levels at byte 64\"}",
+        "{\"id\":null,\"error\":\"request needs an integer 'id' field\"}",
     ];
     for jobs in THREAD_LADDER {
         let out = run_batch(&Ctx::new(), &lines, jobs);
@@ -273,7 +352,22 @@ fn hostile_line(parts: Vec<(usize, u8)>) -> Vec<u8> {
     line
 }
 
+/// `c` written as `\uXXXX` escapes of its UTF-16 code units.
+fn utf16_escapes(c: char) -> String {
+    c.encode_utf16(&mut [0; 2])
+        .iter()
+        .map(|unit| format!("\\u{unit:04x}"))
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn utf16_escapes_parse_back_to_their_scalar(raw in 0u32..0x11_0000) {
+        let c = char::from_u32(raw).unwrap_or('\u{fffd}');
+        let parsed = json::parse(&format!("\"{}\"", utf16_escapes(c)));
+        prop_assert_eq!(parsed, Ok(Value::Str(c.to_string())));
+    }
+
     #[test]
     fn escaped_strings_parse_back_exactly(chars in vec((0u8..4, 0u32..0x11_0000), 0..64)) {
         let s: String = chars.iter().copied().filter_map(hostile_char).collect();
@@ -331,7 +425,7 @@ fn absurd_queries_fail_in_their_slots_without_engine_work() {
         ),
         (
             r#"{"app": "hpl", "machine": "cte-arm", "nodes": 9007199254740992}"#,
-            "nodes=9007199254740992 out of range for CTE-Arm (1..=192)",
+            "query needs an integer 'nodes' field",
         ),
         (
             r#"{"app": "hpl", "machine": "cte-arm", "nodes": 1e300}"#,
