@@ -16,10 +16,10 @@
 //!   The streaming part is where the A64FX's HBM pays off, which is why
 //!   the paper sees only a 1.79× gap here against 4.96× in assembly.
 
-use crate::common::{min_nodes, with_job, AppRun, Cluster};
+use crate::common::{by_cluster, cluster_sweep, min_nodes, plot, with_job, AppRun, Cluster};
 use arch::cost::KernelProfile;
 use simkit::cache::{Cache, CacheKey};
-use simkit::series::{Figure, Series};
+use simkit::series::Figure;
 use simkit::units::{Bytes, Time};
 
 /// The Alya TestCaseB workload model.
@@ -159,36 +159,45 @@ impl Alya {
         }
     }
 
-    fn scaling_figure(&self, cache: &Cache, id: &str, title: &str, phase: Option<&str>) -> Figure {
-        let mut fig = Figure::new(id, title, "nodes", "time per step [s]");
-        for cluster in Cluster::BOTH {
-            let mut s = Series::new(cluster.label());
-            for n in self.paper_node_counts(cluster) {
-                let run = self.simulate_cached(cache, cluster, n);
-                let t = match phase {
-                    Some(p) => run.phase(p).expect("phase exists"),
-                    None => run.elapsed,
-                };
-                s.push(n as f64, t.value());
+    /// The runs Figs. 8, 9 and 10 plot, in plot order: each cluster's
+    /// [`Self::paper_node_counts`], CTE-Arm first. The points are
+    /// independent, so a caller may run them in any order or at once.
+    pub fn sweep_points(&self) -> Vec<(Cluster, usize)> {
+        cluster_sweep(|c| self.paper_node_counts(c))
+    }
+
+    /// Plot the runs of [`Self::sweep_points`] (one per point, in order).
+    fn scaling_figure(
+        &self,
+        runs: &[AppRun],
+        id: &str,
+        title: &str,
+        phase: Option<&str>,
+    ) -> Figure {
+        let placements = by_cluster(&self.sweep_points());
+        let fig = Figure::new(id, title, "nodes", "time per step [s]");
+        plot(fig, placements, runs, |run| {
+            match phase {
+                Some(p) => run.phase(p).expect("phase exists"),
+                None => run.elapsed,
             }
-            fig.series.push(s);
-        }
-        fig
+            .value()
+        })
     }
 
-    /// Fig. 8 — average time step.
-    pub fn figure8_cached(&self, cache: &Cache) -> Figure {
-        self.scaling_figure(cache, "fig8", "Alya: scalability (average time step)", None)
+    /// Fig. 8 — average time step, from the runs of [`Self::sweep_points`].
+    pub fn figure8(&self, runs: &[AppRun]) -> Figure {
+        self.scaling_figure(runs, "fig8", "Alya: scalability (average time step)", None)
     }
 
-    /// Fig. 9 — assembly phase.
-    pub fn figure9_cached(&self, cache: &Cache) -> Figure {
-        self.scaling_figure(cache, "fig9", "Alya: Assembly phase", Some("assembly"))
+    /// Fig. 9 — assembly phase, from the runs of [`Self::sweep_points`].
+    pub fn figure9(&self, runs: &[AppRun]) -> Figure {
+        self.scaling_figure(runs, "fig9", "Alya: Assembly phase", Some("assembly"))
     }
 
-    /// Fig. 10 — solver phase.
-    pub fn figure10_cached(&self, cache: &Cache) -> Figure {
-        self.scaling_figure(cache, "fig10", "Alya: Solver phase", Some("solver"))
+    /// Fig. 10 — solver phase, from the runs of [`Self::sweep_points`].
+    pub fn figure10(&self, runs: &[AppRun]) -> Figure {
+        self.scaling_figure(runs, "fig10", "Alya: Solver phase", Some("solver"))
     }
 }
 
@@ -292,7 +301,15 @@ mod tests {
     #[test]
     fn both_machines_scale() {
         let a = Alya::test_case_b();
-        let f = a.figure8_cached(&Cache::new());
+        let runs: Vec<AppRun> = a
+            .sweep_points()
+            .into_iter()
+            .map(|(c, n)| a.simulate(c, n))
+            .collect();
+        let f = a.figure8(&runs);
+        assert_eq!(f.series.len(), 2);
+        assert_eq!(f.series[0].points.len(), 10);
+        assert_eq!(f.series[1].points.len(), 3);
         for s in &f.series {
             assert!(s.is_non_increasing(0.08), "{} must scale", s.label);
         }

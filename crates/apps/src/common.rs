@@ -9,6 +9,7 @@ use interconnect::tofu::TofuD;
 use interconnect::topology::NodeId;
 use mpisim::job::Job;
 use mpisim::layout::JobLayout;
+use simkit::series::{Figure, Series};
 use simkit::units::Time;
 
 /// Which cluster an application run targets.
@@ -29,6 +30,15 @@ impl Cluster {
         match self {
             Cluster::CteArm => cte_arm(),
             Cluster::MareNostrum4 => marenostrum4(),
+        }
+    }
+
+    /// The interconnect's link model: TofuD on CTE-Arm, OmniPath on
+    /// MareNostrum 4.
+    pub fn link(self) -> LinkModel {
+        match self {
+            Cluster::CteArm => LinkModel::tofud(),
+            Cluster::MareNostrum4 => LinkModel::omnipath(),
         }
     }
 
@@ -100,6 +110,44 @@ pub struct ScalingPoint {
     pub nodes: usize,
     /// Run outcome.
     pub run: AppRun,
+}
+
+/// The points of a sweep that varies one count per cluster, in plot order:
+/// `(cluster, x)` for every `x` of `xs(cluster)`, CTE-Arm first.
+pub(crate) fn cluster_sweep(xs: impl Fn(Cluster) -> Vec<usize>) -> Vec<(Cluster, usize)> {
+    Cluster::BOTH
+        .into_iter()
+        .flat_map(|c| xs(c).into_iter().map(move |x| (c, x)))
+        .collect()
+}
+
+/// Where [`plot`] draws the points of a [`cluster_sweep`]: each in its
+/// cluster's series, at its count.
+pub(crate) fn by_cluster(points: &[(Cluster, usize)]) -> Vec<(String, f64)> {
+    points
+        .iter()
+        .map(|&(c, x)| (c.label().to_string(), x as f64))
+        .collect()
+}
+
+/// Plot a study's finished runs on `fig`: `runs[i]` is drawn at
+/// `(x, y(&runs[i]))` in the series `label`, where `(label, x)` is
+/// `placements[i]`. Consecutive placements with one label form one series,
+/// so the series keep the order of the points.
+pub(crate) fn plot(
+    mut fig: Figure,
+    placements: Vec<(String, f64)>,
+    runs: &[AppRun],
+    y: impl Fn(&AppRun) -> f64,
+) -> Figure {
+    assert_eq!(placements.len(), runs.len(), "one run per plotted point");
+    for ((label, x), run) in placements.into_iter().zip(runs) {
+        if fig.series.last().is_none_or(|s| s.label != label) {
+            fig.series.push(Series::new(label));
+        }
+        fig.series.last_mut().expect("a series").push(x, y(run));
+    }
+    fig
 }
 
 /// Execute `body` with a freshly-built job on the requested cluster. The

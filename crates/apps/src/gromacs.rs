@@ -15,16 +15,19 @@
 //! cell), avoided by the alternative 12-rank × 8-thread configuration the
 //! paper tested (dotted lines in Fig. 13).
 
-use crate::common::{with_job, AppRun, Cluster};
+use crate::common::{cluster_sweep, plot, with_job, AppRun, Cluster};
 use arch::cost::KernelProfile;
 use simkit::cache::{Cache, CacheKey};
-use simkit::series::{Figure, Series};
+use simkit::series::Figure;
 use simkit::units::{Bytes, Time};
 
 /// Ranks per node of the default, node-filling layout.
 const RANKS_PER_NODE: usize = 8;
 /// OpenMP threads per rank of the default layout.
 const THREADS_PER_RANK: usize = 6;
+/// Ranks per node and threads per rank of the alternative layout the paper
+/// tried against the 16-rank anomaly (Fig. 13's dotted series).
+const ALT_LAYOUT: (usize, usize) = (6, 8);
 
 /// The lignocellulose-rf workload model.
 #[derive(Debug, Clone)]
@@ -181,51 +184,78 @@ impl Gromacs {
         per_step * steps_per_ns / 86_400.0
     }
 
-    /// Fig. 12 — single-node scalability: x = cores (ranks × 6 threads).
-    pub fn figure12_cached(&self, cache: &Cache) -> Figure {
-        let mut fig = Figure::new(
+    /// The runs Fig. 12 plots, in plot order, as `(cluster, nodes, ranks
+    /// per node, threads per rank)`: one node with 1–8 ranks of 6 threads,
+    /// CTE-Arm first. The points are independent, so a caller may run them
+    /// in any order or at once.
+    pub fn figure12_points(&self) -> Vec<(Cluster, usize, usize, usize)> {
+        cluster_sweep(|_| (1..=RANKS_PER_NODE).collect())
+            .into_iter()
+            .map(|(cluster, ranks)| (cluster, 1, ranks, THREADS_PER_RANK))
+            .collect()
+    }
+
+    /// Fig. 12 — single-node scalability: x = cores (ranks × 6 threads),
+    /// from the runs of [`Self::figure12_points`].
+    pub fn figure12(&self, runs: &[AppRun]) -> Figure {
+        let placements = self
+            .figure12_points()
+            .into_iter()
+            .map(|(cluster, _, ranks, threads)| {
+                (cluster.label().to_string(), (ranks * threads) as f64)
+            })
+            .collect();
+        let fig = Figure::new(
             "fig12",
             "Gromacs: single-node scalability (6 threads/rank)",
             "cores",
             "days per ns",
         );
+        plot(fig, placements, runs, |run| self.days_per_ns(run))
+    }
+
+    /// The runs Fig. 13 plots, in plot order, as `(cluster, nodes, ranks
+    /// per node, threads per rank)`: per cluster, CTE-Arm first, the
+    /// default layout at 1–192 nodes, then the alternative 6 ranks × 8
+    /// threads at 1, 2 and 4 nodes. The points are independent, so a caller
+    /// may run them in any order or at once.
+    pub fn figure13_points(&self) -> Vec<(Cluster, usize, usize, usize)> {
+        let mut points = Vec::new();
         for cluster in Cluster::BOTH {
-            let mut s = Series::new(cluster.label());
-            for ranks in 1..=8usize {
-                let run = self.simulate_config_cached(cache, cluster, 1, ranks, 6);
-                s.push((ranks * 6) as f64, self.days_per_ns(&run));
+            for nodes in [1usize, 2, 4, 8, 16, 32, 64, 96, 144, 192] {
+                points.push((cluster, nodes, RANKS_PER_NODE, THREADS_PER_RANK));
             }
-            fig.series.push(s);
+            let (ranks, threads) = ALT_LAYOUT;
+            for nodes in [1usize, 2, 4] {
+                points.push((cluster, nodes, ranks, threads));
+            }
         }
-        fig
+        points
     }
 
     /// Fig. 13 — multi-node scalability, plus the alternative 12×8
-    /// configuration as dotted series.
-    pub fn figure13_cached(&self, cache: &Cache) -> Figure {
-        let mut fig = Figure::new(
+    /// configuration as dotted series, from the runs of
+    /// [`Self::figure13_points`].
+    pub fn figure13(&self, runs: &[AppRun]) -> Figure {
+        let placements = self
+            .figure13_points()
+            .into_iter()
+            .map(|(cluster, nodes, ranks, threads)| {
+                let label = if (ranks, threads) == ALT_LAYOUT {
+                    format!("{} (12×8 alt)", cluster.label())
+                } else {
+                    cluster.label().to_string()
+                };
+                (label, nodes as f64)
+            })
+            .collect();
+        let fig = Figure::new(
             "fig13",
             "Gromacs: multi-node scalability",
             "nodes",
             "days per ns",
         );
-        let counts = [1usize, 2, 4, 8, 16, 32, 64, 96, 144, 192];
-        for cluster in Cluster::BOTH {
-            let mut s = Series::new(cluster.label());
-            for &n in &counts {
-                let run = self.simulate_cached(cache, cluster, n);
-                s.push(n as f64, self.days_per_ns(&run));
-            }
-            fig.series.push(s);
-            // The alternative config at the anomalous point (2 nodes).
-            let mut alt = Series::new(format!("{} (12×8 alt)", cluster.label()));
-            for &n in &[1usize, 2, 4] {
-                let run = self.simulate_config_cached(cache, cluster, n, 6, 8);
-                alt.push(n as f64, self.days_per_ns(&run));
-            }
-            fig.series.push(alt);
-        }
-        fig
+        plot(fig, placements, runs, |run| self.days_per_ns(run))
     }
 }
 
@@ -325,10 +355,18 @@ mod tests {
     #[test]
     fn figures_are_well_formed() {
         let g = Gromacs::lignocellulose_rf();
-        let f12 = g.figure12_cached(&Cache::new());
+        let runs = |points: Vec<(Cluster, usize, usize, usize)>| -> Vec<AppRun> {
+            points
+                .into_iter()
+                .map(|(c, n, rpn, tpr)| g.simulate_config(c, n, rpn, tpr))
+                .collect()
+        };
+        let f12 = g.figure12(&runs(g.figure12_points()));
         assert_eq!(f12.series.len(), 2);
         assert_eq!(f12.series[0].points.len(), 8);
-        let f13 = g.figure13_cached(&Cache::new());
+        let f13 = g.figure13(&runs(g.figure13_points()));
         assert_eq!(f13.series.len(), 4, "default + alt per machine");
+        assert_eq!(f13.series[1].label, "CTE-Arm (12×8 alt)");
+        assert_eq!(f13.series[1].points.len(), 3);
     }
 }

@@ -10,10 +10,10 @@
 //! per-step reductions produce the strong-scaling flattening the paper
 //! sees around 128 CTE-Arm nodes.
 
-use crate::common::{with_job, AppRun, Cluster};
+use crate::common::{by_cluster, cluster_sweep, plot, with_job, AppRun, Cluster};
 use arch::cost::KernelProfile;
 use simkit::cache::{Cache, CacheKey};
-use simkit::series::{Figure, Series};
+use simkit::series::Figure;
 use simkit::units::Bytes;
 
 /// The NEMO BENCH (ORCA1-like) workload model.
@@ -115,20 +115,19 @@ impl Nemo {
         }
     }
 
-    /// Fig. 11 — execution time vs nodes (log–log in the paper).
-    pub fn figure11_cached(&self, cache: &Cache) -> Figure {
-        let mut fig = Figure::new("fig11", "NEMO: scalability", "nodes", "execution time [s]");
-        for cluster in Cluster::BOTH {
-            let mut s = Series::new(cluster.label());
-            for n in self.paper_node_counts(cluster) {
-                s.push(
-                    n as f64,
-                    self.simulate_cached(cache, cluster, n).elapsed.value(),
-                );
-            }
-            fig.series.push(s);
-        }
-        fig
+    /// The runs Fig. 11 plots, in plot order: each cluster's
+    /// [`Self::paper_node_counts`], CTE-Arm first. The points are
+    /// independent, so a caller may run them in any order or at once.
+    pub fn sweep_points(&self) -> Vec<(Cluster, usize)> {
+        cluster_sweep(|c| self.paper_node_counts(c))
+    }
+
+    /// Fig. 11 — execution time vs nodes (log–log in the paper), from the
+    /// runs of [`Self::sweep_points`].
+    pub fn figure11(&self, runs: &[AppRun]) -> Figure {
+        let placements = by_cluster(&self.sweep_points());
+        let fig = Figure::new("fig11", "NEMO: scalability", "nodes", "execution time [s]");
+        plot(fig, placements, runs, |run| run.elapsed.value())
     }
 }
 
@@ -201,7 +200,13 @@ mod tests {
 
     #[test]
     fn figure_is_well_formed() {
-        let f = Nemo::bench_orca1().figure11_cached(&Cache::new());
+        let n = Nemo::bench_orca1();
+        let runs: Vec<AppRun> = n
+            .sweep_points()
+            .into_iter()
+            .map(|(c, nodes)| n.simulate(c, nodes))
+            .collect();
+        let f = n.figure11(&runs);
         assert_eq!(f.series.len(), 2);
         assert_eq!(f.series[0].points.len(), 11);
         assert_eq!(f.series[1].points.len(), 7);

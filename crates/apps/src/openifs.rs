@@ -10,10 +10,10 @@
 //! (single-node study, Fig. 14) and **TC0511L91** needs 32 CTE-Arm nodes
 //! (multi-node study, Fig. 15). The y-axis is seconds per forecast day.
 
-use crate::common::{min_nodes, with_job, AppRun, Cluster};
+use crate::common::{by_cluster, cluster_sweep, min_nodes, plot, with_job, AppRun, Cluster};
 use arch::cost::KernelProfile;
 use simkit::cache::{Cache, CacheKey};
-use simkit::series::{Figure, Series};
+use simkit::series::Figure;
 use simkit::units::{Bytes, Time};
 
 /// Ranks per node of a node-filling run (MPI-only, as in the paper).
@@ -157,50 +157,51 @@ impl OpenIfs {
         self.ranks_key(cluster, nodes, NODE_FILLING_RANKS)
     }
 
-    /// Fig. 14 — single-node study with TL255L91: x = MPI ranks.
-    pub fn figure14_cached(cache: &Cache) -> Figure {
-        let input = Self::tl255l91();
-        let mut fig = Figure::new(
+    /// The runs Fig. 14 plots, in plot order: `(cluster, ranks)` on one
+    /// node, with the TL255L91 input ([`Self::tl255l91`]), CTE-Arm first.
+    /// The points are independent, so a caller may run them in any order
+    /// or at once.
+    pub fn figure14_points() -> Vec<(Cluster, usize)> {
+        cluster_sweep(|_| vec![8, 16, 24, 32, 40, 48])
+    }
+
+    /// Fig. 14 — single-node study with TL255L91: x = MPI ranks, from the
+    /// runs of [`Self::figure14_points`].
+    pub fn figure14(runs: &[AppRun]) -> Figure {
+        let fig = Figure::new(
             "fig14",
             "OpenIFS: single-node scalability (TL255L91)",
             "MPI ranks",
             "seconds per forecast day",
         );
-        for cluster in Cluster::BOTH {
-            let mut s = Series::new(cluster.label());
-            for ranks in [8usize, 16, 24, 32, 40, 48] {
-                let run = input.simulate_ranks_cached(cache, cluster, 1, ranks);
-                s.push(ranks as f64, run.elapsed.value());
-            }
-            fig.series.push(s);
-        }
-        fig
+        plot(fig, by_cluster(&Self::figure14_points()), runs, |run| {
+            run.elapsed.value()
+        })
     }
 
-    /// Fig. 15 — multi-node study with TC0511L91: x = nodes.
-    pub fn figure15_cached(cache: &Cache) -> Figure {
-        let input = Self::tc0511l91();
-        let mut fig = Figure::new(
+    /// The runs Fig. 15 plots, in plot order: node-filling `(cluster,
+    /// nodes)` runs of the TC0511L91 input ([`Self::tc0511l91`]), CTE-Arm
+    /// first. The points are independent, so a caller may run them in any
+    /// order or at once.
+    pub fn figure15_points() -> Vec<(Cluster, usize)> {
+        cluster_sweep(|cluster| match cluster {
+            Cluster::CteArm => vec![32, 48, 64, 96, 128],
+            Cluster::MareNostrum4 => vec![10, 16, 32, 48, 64, 96, 128],
+        })
+    }
+
+    /// Fig. 15 — multi-node study with TC0511L91: x = nodes, from the runs
+    /// of [`Self::figure15_points`].
+    pub fn figure15(runs: &[AppRun]) -> Figure {
+        let fig = Figure::new(
             "fig15",
             "OpenIFS: multi-node scalability (TC0511L91)",
             "nodes",
             "seconds per forecast day",
         );
-        for cluster in Cluster::BOTH {
-            let counts: Vec<usize> = match cluster {
-                Cluster::CteArm => vec![32, 48, 64, 96, 128],
-                Cluster::MareNostrum4 => vec![10, 16, 32, 48, 64, 96, 128],
-            };
-            let mut s = Series::new(cluster.label());
-            for n in counts {
-                s.push(
-                    n as f64,
-                    input.simulate_cached(cache, cluster, n).elapsed.value(),
-                );
-            }
-            fig.series.push(s);
-        }
-        fig
+        plot(fig, by_cluster(&Self::figure15_points()), runs, |run| {
+            run.elapsed.value()
+        })
     }
 }
 
@@ -270,20 +271,33 @@ mod tests {
         OpenIfs::tc0511l91().simulate(Cluster::CteArm, 16);
     }
 
+    fn figure14() -> Figure {
+        let input = OpenIfs::tl255l91();
+        let runs: Vec<AppRun> = OpenIfs::figure14_points()
+            .into_iter()
+            .map(|(c, ranks)| input.simulate_ranks(c, 1, ranks))
+            .collect();
+        OpenIfs::figure14(&runs)
+    }
+
     #[test]
     fn both_machines_scale_single_node() {
-        let f = OpenIfs::figure14_cached(&Cache::new());
-        for s in &f.series {
+        for s in &figure14().series {
             assert!(s.is_non_increasing(0.05), "{} must scale", s.label);
         }
     }
 
     #[test]
     fn figures_are_well_formed() {
-        let f14 = OpenIfs::figure14_cached(&Cache::new());
+        let f14 = figure14();
         assert_eq!(f14.series.len(), 2);
         assert_eq!(f14.series[0].points.len(), 6);
-        let f15 = OpenIfs::figure15_cached(&Cache::new());
+        let input = OpenIfs::tc0511l91();
+        let runs: Vec<AppRun> = OpenIfs::figure15_points()
+            .into_iter()
+            .map(|(c, n)| input.simulate(c, n))
+            .collect();
+        let f15 = OpenIfs::figure15(&runs);
         assert_eq!(f15.series.len(), 2);
         assert_eq!(f15.series[0].points.len(), 5);
         assert_eq!(f15.series[1].points.len(), 7);

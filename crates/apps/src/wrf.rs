@@ -9,10 +9,10 @@
 //! ~2.2× gap, the smallest among the five applications precisely because
 //! the streaming share is the largest — HBM absorbs it.
 
-use crate::common::{with_job, AppRun, Cluster};
+use crate::common::{plot, with_job, AppRun, Cluster};
 use arch::cost::KernelProfile;
 use simkit::cache::{Cache, CacheKey};
-use simkit::series::{Figure, Series};
+use simkit::series::Figure;
 use simkit::units::{Bytes, Time};
 
 /// The Iberia-4km workload model.
@@ -123,29 +123,40 @@ impl Wrf {
         )
     }
 
-    /// Fig. 16 — scalability with IO enabled and disabled.
-    pub fn figure16_cached(&self, cache: &Cache) -> Figure {
-        let mut fig = Figure::new(
+    /// The runs Fig. 16 plots, in plot order: `(cluster, nodes, io)` at
+    /// 1–64 nodes, with history output and then without, CTE-Arm first.
+    /// The points are independent, so a caller may run them in any order
+    /// or at once.
+    pub fn sweep_points(&self) -> Vec<(Cluster, usize, bool)> {
+        let mut points = Vec::new();
+        for cluster in Cluster::BOTH {
+            for io in [true, false] {
+                for nodes in [1usize, 2, 4, 8, 16, 32, 64] {
+                    points.push((cluster, nodes, io));
+                }
+            }
+        }
+        points
+    }
+
+    /// Fig. 16 — scalability with IO enabled and disabled, from the runs
+    /// of [`Self::sweep_points`].
+    pub fn figure16(&self, runs: &[AppRun]) -> Figure {
+        let placements = self
+            .sweep_points()
+            .into_iter()
+            .map(|(cluster, nodes, io)| {
+                let output = if io { "IO" } else { "no IO" };
+                (format!("{} ({output})", cluster.label()), nodes as f64)
+            })
+            .collect();
+        let fig = Figure::new(
             "fig16",
             "WRF: scalability (Iberia 4 km, 56 h)",
             "nodes",
             "elapsed time [s]",
         );
-        let counts = [1usize, 2, 4, 8, 16, 32, 64];
-        for cluster in Cluster::BOTH {
-            for io in [true, false] {
-                let label = format!("{} ({})", cluster.label(), if io { "IO" } else { "no IO" });
-                let mut s = Series::new(label);
-                for &n in &counts {
-                    s.push(
-                        n as f64,
-                        self.simulate_cached(cache, cluster, n, io).elapsed.value(),
-                    );
-                }
-                fig.series.push(s);
-            }
-        }
-        fig
+        plot(fig, placements, runs, |run| run.elapsed.value())
     }
 }
 
@@ -220,8 +231,15 @@ mod tests {
     #[test]
     fn scales_with_nodes() {
         let w = Wrf::iberia_4km();
-        let f = w.figure16_cached(&Cache::new());
+        let runs: Vec<AppRun> = w
+            .sweep_points()
+            .into_iter()
+            .map(|(c, n, io)| w.simulate(c, n, io))
+            .collect();
+        let f = w.figure16(&runs);
         assert_eq!(f.series.len(), 4);
+        assert_eq!(f.series[1].label, "CTE-Arm (no IO)");
+        assert!(f.series.iter().all(|s| s.points.len() == 7));
         for s in &f.series {
             assert!(s.is_non_increasing(0.05), "{} must scale", s.label);
         }

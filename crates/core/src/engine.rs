@@ -10,9 +10,16 @@
 //! experiment before its deps finish, so the producer always takes the
 //! misses and the consumer always takes the hits — `--jobs 1` and
 //! `--jobs 16` report identical numbers and bit-identical artifacts.
+//!
+//! Inside an experiment, a study's independent points (the node counts of
+//! a strong-scaling sweep, the cells of Table IV) run through [`fan_out`]
+//! on the kernel pool, with the experiment's thread as worker 0. The
+//! cache traffic of points that ran on pool helpers is charged back to
+//! that thread, so an experiment's counts are the same at any pool width.
 
 use crate::experiments::{Artifact, Experiment};
-use simkit::cache::Cache;
+use rayon::prelude::*;
+use simkit::cache::{Cache, TierCounters};
 use simkit::store::Store;
 use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex};
@@ -144,6 +151,12 @@ pub fn run_experiments(experiments: Vec<Experiment>, jobs: usize, ctx: &Ctx) -> 
     // workers, so engine jobs × pool threads never oversubscribe the core
     // budget. The guard restores the full pool when this run finishes.
     let _pool_budget = rayon::reserve_drivers(jobs);
+    // Each worker fans its experiments' points out at the width the caller
+    // sees, so a caller's `ThreadPool::install` reaches them too.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(rayon::current_num_threads())
+        .build()
+        .expect("thread pool");
     let ids: HashSet<&'static str> = experiments.iter().map(|e| e.id).collect();
     let state = Mutex::new(SchedState {
         claimed: vec![false; experiments.len()],
@@ -153,53 +166,54 @@ pub fn run_experiments(experiments: Vec<Experiment>, jobs: usize, ctx: &Ctx) -> 
     let slots: Vec<Mutex<Option<RunReport>>> =
         experiments.iter().map(|_| Mutex::new(None)).collect();
 
+    let worker = || loop {
+        let idx = {
+            let mut st = state.lock().expect("scheduler lock");
+            loop {
+                if st.claimed.iter().all(|&c| c) {
+                    return;
+                }
+                let next = experiments.iter().enumerate().position(|(i, e)| {
+                    !st.claimed[i]
+                        && e.deps
+                            .iter()
+                            .all(|d| !ids.contains(d) || st.completed.contains(d))
+                });
+                match next {
+                    Some(i) => {
+                        st.claimed[i] = true;
+                        break i;
+                    }
+                    None => st = ready.wait(st).expect("scheduler wait"),
+                }
+            }
+        };
+        let exp = &experiments[idx];
+        Cache::reset_thread_counters();
+        let started = Instant::now();
+        let artifact = (exp.run)(ctx);
+        let wall = started.elapsed();
+        let counters = Cache::thread_counters();
+        *slots[idx].lock().expect("slot lock") = Some(RunReport {
+            id: exp.id,
+            title: exp.title,
+            section: exp.section,
+            wall,
+            mem_hits: counters.mem_hits,
+            disk_hits: counters.disk_hits,
+            misses: counters.misses,
+            artifact,
+        });
+        state
+            .lock()
+            .expect("scheduler lock")
+            .completed
+            .insert(exp.id);
+        ready.notify_all();
+    };
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut st = state.lock().expect("scheduler lock");
-                    loop {
-                        if st.claimed.iter().all(|&c| c) {
-                            return;
-                        }
-                        let next = experiments.iter().enumerate().position(|(i, e)| {
-                            !st.claimed[i]
-                                && e.deps
-                                    .iter()
-                                    .all(|d| !ids.contains(d) || st.completed.contains(d))
-                        });
-                        match next {
-                            Some(i) => {
-                                st.claimed[i] = true;
-                                break i;
-                            }
-                            None => st = ready.wait(st).expect("scheduler wait"),
-                        }
-                    }
-                };
-                let exp = &experiments[idx];
-                Cache::reset_thread_counters();
-                let started = Instant::now();
-                let artifact = (exp.run)(ctx);
-                let wall = started.elapsed();
-                let counters = Cache::thread_counters();
-                *slots[idx].lock().expect("slot lock") = Some(RunReport {
-                    id: exp.id,
-                    title: exp.title,
-                    section: exp.section,
-                    wall,
-                    mem_hits: counters.mem_hits,
-                    disk_hits: counters.disk_hits,
-                    misses: counters.misses,
-                    artifact,
-                });
-                state
-                    .lock()
-                    .expect("scheduler lock")
-                    .completed
-                    .insert(exp.id);
-                ready.notify_all();
-            });
+            scope.spawn(|| pool.install(worker));
         }
     });
 
@@ -240,6 +254,39 @@ pub fn run_indexed<R: Send>(count: usize, jobs: usize, task: impl Fn(usize) -> R
     slots
         .into_iter()
         .map(|s| s.into_inner().expect("slot lock").expect("task ran"))
+        .collect()
+}
+
+/// Run `task` once per item on the kernel pool and return the results in
+/// item order. The pool is [`rayon::current_num_threads`] wide, so under
+/// `--jobs N` each engine worker fans out over its share of the core
+/// budget, and the calling thread is worker 0. A fan-out nested in another
+/// pool region runs inline.
+///
+/// Every task must be a pure function of its item; each one made on a pool
+/// helper has its cache traffic charged to the calling thread, so the
+/// caller's [`Cache::thread_counters`] read as if it had run every task
+/// itself.
+pub fn fan_out<T: Sync, R: Send>(items: &[T], task: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let caller = std::thread::current().id();
+    let task = &task;
+    let done: Vec<(R, Option<TierCounters>)> = items
+        .par_iter()
+        .map(move |item| {
+            let before = Cache::thread_counters();
+            let result = task(item);
+            let elsewhere = (std::thread::current().id() != caller)
+                .then(|| Cache::thread_counters().since(&before));
+            (result, elsewhere)
+        })
+        .collect_with_grain(1);
+    done.into_iter()
+        .map(|(result, elsewhere)| {
+            if let Some(delta) = elsewhere {
+                Cache::add_thread_counters(delta);
+            }
+            result
+        })
         .collect()
 }
 
@@ -305,6 +352,55 @@ mod tests {
         assert!(reports[1].mem_hits > 0);
         // Memory-only context: the disk tier never fires.
         assert_eq!(reports[1].disk_hits, 0);
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order_and_charges_helpers_to_the_caller() {
+        use simkit::cache::CacheKey;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        let cache = Cache::new();
+        let caller = std::thread::current().id();
+        let helper_ran = AtomicBool::new(false);
+        let items: Vec<u64> = (0..8).collect();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("pool");
+        Cache::reset_thread_counters();
+        let out = pool.install(|| {
+            fan_out(&items, |&i| {
+                let on_caller = std::thread::current().id() == caller;
+                if on_caller {
+                    // Hold the caller until a helper has computed a point,
+                    // so at least one miss is made off the calling thread.
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    while !helper_ran.load(Ordering::SeqCst) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                }
+                let v: u64 =
+                    cache.get_or_persistent(CacheKey::new("m", "w", i.to_string()), || i * 10);
+                if !on_caller {
+                    helper_ran.store(true, Ordering::SeqCst);
+                }
+                v
+            })
+        });
+        assert!(
+            helper_ran.load(Ordering::SeqCst),
+            "a pool helper ran a point"
+        );
+        assert_eq!(out, (0..8).map(|i| i * 10).collect::<Vec<u64>>());
+        assert_eq!(
+            Cache::thread_counters(),
+            TierCounters {
+                mem_hits: 0,
+                disk_hits: 0,
+                misses: 8
+            },
+            "every miss is charged to the caller"
+        );
     }
 
     #[test]

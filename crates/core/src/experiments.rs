@@ -1,7 +1,12 @@
 //! The experiment registry: every table and figure of the paper.
 
-use crate::engine::Ctx;
-use apps::common::Cluster;
+use crate::engine::{fan_out, Ctx};
+use apps::alya::Alya;
+use apps::common::{AppRun, Cluster};
+use apps::gromacs::Gromacs;
+use apps::nemo::Nemo;
+use apps::openifs::OpenIfs;
+use apps::wrf::Wrf;
 use arch::machines::{cte_arm, marenostrum4};
 use simkit::series::{Figure, Series, Table};
 use simkit::stats::quantile;
@@ -459,39 +464,81 @@ fn fig7(ctx: &Ctx) -> Artifact {
 }
 
 fn fig8(ctx: &Ctx) -> Artifact {
-    Artifact::Figure(apps::alya::Alya::test_case_b().figure8_cached(&ctx.cache))
+    let alya = Alya::test_case_b();
+    Artifact::Figure(alya.figure8(&alya_runs(ctx, &alya)))
 }
 
 fn fig9(ctx: &Ctx) -> Artifact {
-    Artifact::Figure(apps::alya::Alya::test_case_b().figure9_cached(&ctx.cache))
+    let alya = Alya::test_case_b();
+    Artifact::Figure(alya.figure9(&alya_runs(ctx, &alya)))
 }
 
 fn fig10(ctx: &Ctx) -> Artifact {
-    Artifact::Figure(apps::alya::Alya::test_case_b().figure10_cached(&ctx.cache))
+    let alya = Alya::test_case_b();
+    Artifact::Figure(alya.figure10(&alya_runs(ctx, &alya)))
+}
+
+/// The Alya sweep Figs. 8–10 plot, one point per pool task.
+fn alya_runs(ctx: &Ctx, alya: &Alya) -> Vec<AppRun> {
+    fan_out(&alya.sweep_points(), |&(cluster, nodes)| {
+        alya.simulate_cached(&ctx.cache, cluster, nodes)
+    })
 }
 
 fn fig11(ctx: &Ctx) -> Artifact {
-    Artifact::Figure(apps::nemo::Nemo::bench_orca1().figure11_cached(&ctx.cache))
+    let nemo = Nemo::bench_orca1();
+    let runs = fan_out(&nemo.sweep_points(), |&(cluster, nodes)| {
+        nemo.simulate_cached(&ctx.cache, cluster, nodes)
+    });
+    Artifact::Figure(nemo.figure11(&runs))
 }
 
 fn fig12(ctx: &Ctx) -> Artifact {
-    Artifact::Figure(apps::gromacs::Gromacs::lignocellulose_rf().figure12_cached(&ctx.cache))
+    let gromacs = Gromacs::lignocellulose_rf();
+    let runs = gromacs_runs(ctx, &gromacs, &gromacs.figure12_points());
+    Artifact::Figure(gromacs.figure12(&runs))
 }
 
 fn fig13(ctx: &Ctx) -> Artifact {
-    Artifact::Figure(apps::gromacs::Gromacs::lignocellulose_rf().figure13_cached(&ctx.cache))
+    let gromacs = Gromacs::lignocellulose_rf();
+    let runs = gromacs_runs(ctx, &gromacs, &gromacs.figure13_points());
+    Artifact::Figure(gromacs.figure13(&runs))
+}
+
+/// Gromacs `(cluster, nodes, ranks per node, threads per rank)` points,
+/// one per pool task.
+fn gromacs_runs(
+    ctx: &Ctx,
+    gromacs: &Gromacs,
+    points: &[(Cluster, usize, usize, usize)],
+) -> Vec<AppRun> {
+    fan_out(points, |&(cluster, nodes, ranks, threads)| {
+        gromacs.simulate_config_cached(&ctx.cache, cluster, nodes, ranks, threads)
+    })
 }
 
 fn fig14(ctx: &Ctx) -> Artifact {
-    Artifact::Figure(apps::openifs::OpenIfs::figure14_cached(&ctx.cache))
+    let input = OpenIfs::tl255l91();
+    let runs = fan_out(&OpenIfs::figure14_points(), |&(cluster, ranks)| {
+        input.simulate_ranks_cached(&ctx.cache, cluster, 1, ranks)
+    });
+    Artifact::Figure(OpenIfs::figure14(&runs))
 }
 
 fn fig15(ctx: &Ctx) -> Artifact {
-    Artifact::Figure(apps::openifs::OpenIfs::figure15_cached(&ctx.cache))
+    let input = OpenIfs::tc0511l91();
+    let runs = fan_out(&OpenIfs::figure15_points(), |&(cluster, nodes)| {
+        input.simulate_cached(&ctx.cache, cluster, nodes)
+    });
+    Artifact::Figure(OpenIfs::figure15(&runs))
 }
 
 fn fig16(ctx: &Ctx) -> Artifact {
-    Artifact::Figure(apps::wrf::Wrf::iberia_4km().figure16_cached(&ctx.cache))
+    let wrf = Wrf::iberia_4km();
+    let runs = fan_out(&wrf.sweep_points(), |&(cluster, nodes, io)| {
+        wrf.simulate_cached(&ctx.cache, cluster, nodes, io)
+    });
+    Artifact::Figure(wrf.figure16(&runs))
 }
 
 fn table4(ctx: &Ctx) -> Artifact {

@@ -12,7 +12,7 @@
 //! * `ext_variability` — the stability claims of Sections III-A/B as
 //!   checkable numbers.
 
-use crate::engine::Ctx;
+use crate::engine::{fan_out, Ctx};
 use crate::experiments::{Artifact, Experiment};
 use apps::common::{Cluster, JobHandle};
 use arch::compiler::Compiler;
@@ -355,9 +355,14 @@ fn ext_pop(_ctx: &Ctx) -> Artifact {
             "MN4 collective %",
         ],
     );
-    for app in ["alya", "nemo", "openifs"] {
-        let (cc, ca) = traced_step(Cluster::CteArm, app);
-        let (mc, ma) = traced_step(Cluster::MareNostrum4, app);
+    let apps = ["alya", "nemo", "openifs"];
+    let steps: Vec<(&str, Cluster)> = apps
+        .iter()
+        .flat_map(|&app| Cluster::BOTH.map(|cluster| (app, cluster)))
+        .collect();
+    let fractions = fan_out(&steps, |&(app, cluster)| traced_step(cluster, app));
+    for (app, pair) in apps.iter().zip(fractions.chunks(2)) {
+        let [(cc, ca), (mc, ma)] = [pair[0], pair[1]];
         t.push_row(vec![
             app.to_string(),
             format!("{:.1}", cc * 100.0),
@@ -369,6 +374,45 @@ fn ext_pop(_ctx: &Ctx) -> Artifact {
     Artifact::Table(t)
 }
 
+/// Node counts of the weak-scaling study.
+const WEAK_NODES: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
+
+/// Time of three steps of the weak-scaling stencil (fixed work per rank)
+/// on `nodes` nodes of `cluster`.
+fn weak_time(cluster: Cluster, nodes: usize) -> f64 {
+    let machine = cluster.machine();
+    let compiler = cluster.app_compiler(false);
+    let per_rank =
+        KernelProfile::dp("stencil", 50_000.0 * 2750.0, 50_000.0 * 1200.0).with_vectorizable(0.3);
+    let layout = JobLayout::new(
+        (0..nodes).map(NodeId).collect(),
+        48,
+        1,
+        machine.memory.n_domains,
+        machine.cores_per_node(),
+    );
+    let body = |job: &mut dyn JobHandle| {
+        for _ in 0..3 {
+            job.compute(&per_rank);
+            job.halo(4, Bytes::kib(100.0));
+            job.allreduce(Bytes::new(8.0));
+        }
+        job.elapsed().value()
+    };
+    match cluster {
+        Cluster::CteArm => {
+            let net = Network::new(TofuD::cte_arm(), LinkModel::tofud());
+            let mut job = Job::new(&machine, &compiler, &net, layout, 3);
+            body(&mut job)
+        }
+        Cluster::MareNostrum4 => {
+            let net = Network::new(FatTree::marenostrum4(), LinkModel::omnipath());
+            let mut job = Job::new(&machine, &compiler, &net, layout, 3);
+            body(&mut job)
+        }
+    }
+}
+
 fn ext_weak(_ctx: &Ctx) -> Artifact {
     // Weak scaling: constant per-rank ocean-stencil work, growing node
     // counts. Efficiency = t(1 node) / t(n nodes); 1.0 is perfect.
@@ -378,44 +422,20 @@ fn ext_weak(_ctx: &Ctx) -> Artifact {
         "nodes",
         "weak-scaling efficiency",
     );
-    for cluster in Cluster::BOTH {
-        let machine = cluster.machine();
-        let compiler = cluster.app_compiler(false);
-        let per_rank = KernelProfile::dp("stencil", 50_000.0 * 2750.0, 50_000.0 * 1200.0)
-            .with_vectorizable(0.3);
-        let time_at = |nodes: usize| -> f64 {
-            let layout = JobLayout::new(
-                (0..nodes).map(NodeId).collect(),
-                48,
-                1,
-                machine.memory.n_domains,
-                machine.cores_per_node(),
-            );
-            let body = |job: &mut dyn JobHandle| {
-                for _ in 0..3 {
-                    job.compute(&per_rank);
-                    job.halo(4, Bytes::kib(100.0));
-                    job.allreduce(Bytes::new(8.0));
-                }
-                job.elapsed().value()
-            };
-            match cluster {
-                Cluster::CteArm => {
-                    let net = Network::new(TofuD::cte_arm(), LinkModel::tofud());
-                    let mut job = Job::new(&machine, &compiler, &net, layout, 3);
-                    body(&mut job)
-                }
-                Cluster::MareNostrum4 => {
-                    let net = Network::new(FatTree::marenostrum4(), LinkModel::omnipath());
-                    let mut job = Job::new(&machine, &compiler, &net, layout, 3);
-                    body(&mut job)
-                }
-            }
-        };
-        let base = time_at(1);
+    let points: Vec<(Cluster, usize)> = Cluster::BOTH
+        .into_iter()
+        .flat_map(|cluster| WEAK_NODES.map(|nodes| (cluster, nodes)))
+        .collect();
+    let times = fan_out(&points, |&(cluster, nodes)| weak_time(cluster, nodes));
+    for (cluster, times) in Cluster::BOTH
+        .into_iter()
+        .zip(times.chunks(WEAK_NODES.len()))
+    {
+        // The 1-node point is the baseline.
+        let base = times[0];
         let mut s = Series::new(cluster.label());
-        for nodes in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-            s.push(nodes as f64, base / time_at(nodes));
+        for (&nodes, &t) in WEAK_NODES.iter().zip(times) {
+            s.push(nodes as f64, base / t);
         }
         fig.series.push(s);
     }

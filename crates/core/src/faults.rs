@@ -29,6 +29,7 @@ use interconnect::topology::{NodeId, Topology};
 use microbench::network::{summarize_map, PairMapSummary, DEGRADED_NODE, DEGRADED_RX_FACTOR};
 use mpisim::faults::{alltoall_drains, JobFaults};
 use mpisim::{Job, JobLayout};
+use rayon::prelude::*;
 use sched::{AllocationPolicy, Allocator, NodeFailure, Scheduler, WorkloadSpec};
 use simkit::cache::CacheKey;
 use simkit::rng::Pcg32;
@@ -490,6 +491,15 @@ pub fn fugaku_topo() -> TofuD {
 /// Probes each node initiates in the scale battery.
 const SCALE_PROBES: usize = 3;
 
+/// Fault mix of every scale trial.
+const SCALE_SPEC: FaultSpec = FaultSpec {
+    degraded: 2,
+    link_latency: 1,
+    retransmit: 1,
+    slowdown: 0,
+    failures: 2,
+};
+
 /// Fixed partner offsets: near neighbour, antipode, and an off-axis point
 /// in between. Identical for baseline and faulty batteries, so per-probe
 /// slowdown ratios are well defined.
@@ -505,16 +515,19 @@ fn probe_battery(net: &Network<TofuD>) -> Vec<f64> {
     let n = net.topology().nodes();
     let offs = probe_offsets(n);
     let mut bw = vec![0.0; n * SCALE_PROBES];
-    for s in 0..n {
-        for (j, &o) in offs.iter().enumerate() {
-            let t = net
-                .message_time(NodeId(s), NodeId((s + o) % n), Bytes::new(PROBE_BYTES))
-                .value();
-            if t.is_finite() {
-                bw[s * SCALE_PROBES + j] = PROBE_BYTES / t;
+    // Each node's row is written by that node's probes alone.
+    bw.par_chunks_mut(SCALE_PROBES)
+        .enumerate()
+        .for_each(|(s, row)| {
+            for (cell, &o) in row.iter_mut().zip(&offs) {
+                let t = net
+                    .message_time(NodeId(s), NodeId((s + o) % n), Bytes::new(PROBE_BYTES))
+                    .value();
+                if t.is_finite() {
+                    *cell = PROBE_BYTES / t;
+                }
             }
-        }
-    }
+        });
     bw
 }
 
@@ -603,19 +616,12 @@ pub fn run_scale_campaign(topo: TofuD, generated_trials: usize, seed: u64) -> Sc
     let table_bytes = table.memory_bytes();
     let base_bw = probe_battery(&base_net);
 
-    let spec = FaultSpec {
-        degraded: 2,
-        link_latency: 1,
-        retransmit: 1,
-        slowdown: 0,
-        failures: 2,
-    };
     let trials: Vec<ScaleTrial> = (0..generated_trials)
         .map(|i| {
-            let plan = FaultPlan::generate(format!("scale-{i}"), n, &spec, trial_seed(seed, i));
-            let net = plan.apply(Network::new(topo.clone(), LinkModel::tofud()));
-            net.routing_table();
-            let bw = probe_battery(&net);
+            let plan =
+                FaultPlan::generate(format!("scale-{i}"), n, &SCALE_SPEC, trial_seed(seed, i));
+            // The clone shares the base network's built pair table.
+            let bw = probe_battery(&plan.apply(base_net.clone()));
             let injected = plan.injected_network_nodes();
             let (detected, slow) = scale_detect(&base_bw, &bw, n, injected.len());
             let mut detected_sorted: Vec<usize> = detected.iter().map(|d| d.index()).collect();
@@ -759,6 +765,31 @@ mod tests {
         let (max, mean) = report.link_load;
         assert!(max > mean && mean > 0.0);
         assert!(report.mean_hops > 1.0);
+    }
+
+    #[test]
+    fn faulted_clone_shares_the_table_and_prices_like_a_fresh_network() {
+        let topo = TofuD::with_dims([6, 6, 6, 2, 3, 2], [true, true, true, false, true, false]);
+        let n = topo.nodes();
+        let base = Network::new(topo.clone(), LinkModel::tofud());
+        let table = base.routing_table().expect("TofuD folds its pair table");
+        let plan = FaultPlan::generate("shared", n, &SCALE_SPEC, trial_seed(11, 0));
+        let clone = plan.apply(base.clone());
+        let shared = clone
+            .table_if_built()
+            .expect("the clone starts with the table");
+        assert!(std::ptr::eq(shared, table), "shared, not copied");
+        let fresh = plan.apply(Network::new(topo, LinkModel::tofud()));
+        assert!(fresh.table_if_built().is_none());
+        let (via_clone, via_fresh) = (probe_battery(&clone), probe_battery(&fresh));
+        assert_eq!(via_clone.len(), n * SCALE_PROBES);
+        for (i, (a, b)) in via_clone.iter().zip(&via_fresh).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "probe {i}");
+        }
+        assert!(
+            via_clone.contains(&0.0),
+            "the plan's failed nodes answer no probe"
+        );
     }
 
     #[test]

@@ -42,7 +42,6 @@
 use crate::engine::{run_indexed, Ctx};
 use crate::json::{self, Value};
 use apps::common::Cluster;
-use interconnect::link::LinkModel;
 use simkit::cache::{Cache, CacheKey, TierCounters};
 use simkit::store::Store;
 use std::fmt::Write as _;
@@ -93,14 +92,6 @@ pub enum Query {
         /// Build variant.
         version: hpcg::HpcgVersion,
     },
-}
-
-/// The interconnect HPL runs over on each cluster.
-fn hpl_link(cluster: Cluster) -> LinkModel {
-    match cluster {
-        Cluster::CteArm => LinkModel::tofud(),
-        Cluster::MareNostrum4 => LinkModel::omnipath(),
-    }
 }
 
 fn parse_cluster(v: &Value) -> Result<Cluster, String> {
@@ -221,8 +212,7 @@ impl Query {
             Query::Hpl { cluster, nodes } => {
                 let machine = cluster.machine();
                 let cfg = hpl::paper_config(&machine, *nodes);
-                let r =
-                    hpl::simulate_cached(&ctx.cache, &machine, &hpl_link(*cluster), *nodes, &cfg);
+                let r = hpl::simulate_cached(&ctx.cache, &machine, &cluster.link(), *nodes, &cfg);
                 format!(
                     "{{\"app\":\"hpl\",\"machine\":\"{}\",\"nodes\":{nodes},\
                      \"gflops\":{},\"efficiency\":{},\"time_s\":{}}}",
@@ -281,7 +271,7 @@ impl Query {
             Query::Hpl { cluster, nodes } => {
                 let machine = cluster.machine();
                 let cfg = hpl::paper_config(&machine, *nodes);
-                hpl::cache_key(&machine, &hpl_link(*cluster), *nodes, &cfg)
+                hpl::cache_key(&machine, &cluster.link(), *nodes, &cfg)
             }
             Query::Hpcg {
                 cluster,
@@ -326,15 +316,23 @@ fn answer_slot(ctx: &Ctx, i: usize, query: &Result<Query, String>) -> String {
 /// single-flight slots let duplicate misses share one computation, so the
 /// bytes are independent of `jobs`.
 pub fn respond(ctx: &Ctx, line: &str, jobs: usize) -> String {
+    respond_counted(ctx, line, jobs).0
+}
+
+/// [`respond`], plus the number of query slots the response answers, each
+/// with a result or an error of its own. A request refused whole answers
+/// none.
+fn respond_counted(ctx: &Ctx, line: &str, jobs: usize) -> (String, u64) {
     let parsed = match json::parse(line) {
         Ok(v) => v,
-        Err(e) => return request_error(&e),
+        Err(e) => return (request_error(&e), 0),
     };
     let Some(id) = parsed.get("id").and_then(Value::as_u64) else {
-        return request_error("request needs an integer 'id' field");
+        return (request_error("request needs an integer 'id' field"), 0);
     };
     let Some(queries) = parsed.get("queries").and_then(Value::as_array) else {
-        return format!("{{\"id\":{id},\"error\":\"request needs a 'queries' array\"}}");
+        let error = format!("{{\"id\":{id},\"error\":\"request needs a 'queries' array\"}}");
+        return (error, 0);
     };
     let checked: Vec<Result<Query, String>> = queries.iter().map(Query::parse).collect();
     let mut results = Vec::with_capacity(checked.len());
@@ -353,7 +351,11 @@ pub fn respond(ctx: &Ctx, line: &str, jobs: usize) -> String {
     for (&i, result) in misses.iter().zip(computed) {
         results[i] = result;
     }
-    format!("{{\"id\":{id},\"results\":[{}]}}", results.join(","))
+    let answered = results.len() as u64;
+    (
+        format!("{{\"id\":{id},\"results\":[{}]}}", results.join(",")),
+        answered,
+    )
 }
 
 /// What one [`serve`] session did, for the stderr summary.
@@ -361,7 +363,8 @@ pub fn respond(ctx: &Ctx, line: &str, jobs: usize) -> String {
 pub struct ServeSummary {
     /// Request lines processed (including malformed ones).
     pub requests: u64,
-    /// Individual queries answered.
+    /// Individual queries answered, with a result or an error of their
+    /// own (the slots of every request that was not refused whole).
     pub queries: u64,
     /// Cache traffic of this session (memory hits / disk hits / misses).
     pub counters: TierCounters,
@@ -412,21 +415,22 @@ pub fn serve(
     while let Some(fits) = read_capped_line(&mut input, &mut buf)? {
         let started = Instant::now();
         let counters_at = ctx.cache.counters();
-        let response = if fits {
+        let (response, answered) = if fits {
             match std::str::from_utf8(&buf) {
                 Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => respond(ctx, line, jobs),
-                Err(_) => request_error("request line is not valid UTF-8"),
+                Ok(line) => respond_counted(ctx, line, jobs),
+                Err(_) => (request_error("request line is not valid UTF-8"), 0),
             }
         } else {
-            request_error(&format!("request line longer than {MAX_LINE_BYTES} bytes"))
+            let error = format!("request line longer than {MAX_LINE_BYTES} bytes");
+            (request_error(&error), 0)
         };
         output.write_all(response.as_bytes())?;
         output.write_all(b"\n")?;
         output.flush()?;
         summary.requests += 1;
+        summary.queries += answered;
         let delta = ctx.cache.counters().since(&counters_at);
-        summary.queries += delta.total();
         writeln!(
             log,
             "serve: request {} in {:.3} ms ({} mem / {} disk / {} miss)",

@@ -4,6 +4,7 @@
 //! input set cannot run (memory); `N/A` marks node counts outside a
 //! study's measured range, mirroring the paper's table.
 
+use crate::engine::fan_out;
 use apps::alya::Alya;
 use apps::common::Cluster;
 use apps::gromacs::Gromacs;
@@ -11,7 +12,6 @@ use apps::nemo::Nemo;
 use apps::openifs::OpenIfs;
 use apps::wrf::Wrf;
 use hpcg::{HpcgConfig, HpcgVersion};
-use interconnect::link::LinkModel;
 use simkit::cache::Cache;
 use simkit::series::Table;
 
@@ -48,127 +48,157 @@ impl Cell {
     }
 }
 
-/// Compute one application row. `measured` restricts to the node counts
-/// the paper actually ran (others become `N/A`).
-fn row(name: &str, measured: &[usize], f: impl Fn(usize) -> Cell) -> (String, Vec<Cell>) {
-    let cells = NODE_COUNTS
-        .iter()
-        .map(|&n| {
-            if measured.contains(&n) {
-                f(n)
-            } else {
-                Cell::NotAvailable
-            }
-        })
-        .collect();
-    (name.to_string(), cells)
+/// One Table-IV row: which runs its cells compare, and how.
+struct Row {
+    name: &'static str,
+    /// The node counts the paper measured (the others are `N/A`).
+    measured: &'static [usize],
+    /// Whether the input fits CTE-Arm at this node count (else `NP`).
+    fits: fn(usize) -> bool,
+    /// The figure of merit of one run on `cluster` at `nodes`: GFlop/s for
+    /// the benchmarks, seconds for the applications.
+    measure: fn(&Cache, Cluster, usize) -> f64,
+    /// Whether higher `measure` is faster (a rate, not a time).
+    rate: bool,
+}
+
+impl Row {
+    /// Whether the cell at `nodes` compares two runs.
+    fn has_speedup(&self, nodes: usize) -> bool {
+        self.measured.contains(&nodes) && (self.fits)(nodes)
+    }
+}
+
+fn always(_: usize) -> bool {
+    true
+}
+
+/// Every row of the table, in the paper's order. Every measured run
+/// revisits a point some figure's sweep already took.
+fn rows() -> [Row; 7] {
+    [
+        Row {
+            name: "LINPACK",
+            measured: &NODE_COUNTS,
+            fits: always,
+            measure: |cache, cluster, n| {
+                let machine = cluster.machine();
+                let cfg = hpl::paper_config(&machine, n);
+                hpl::simulate_cached(cache, &machine, &cluster.link(), n, &cfg).gflops
+            },
+            rate: true,
+        },
+        // The paper ran HPCG at 1 and 192 nodes.
+        Row {
+            name: "HPCG",
+            measured: &[1, 192],
+            fits: always,
+            measure: |cache, cluster, n| {
+                let cfg = HpcgConfig::paper(HpcgVersion::Optimized);
+                hpcg::simulate_cached(cache, &cluster.machine(), n, &cfg).gflops
+            },
+            rate: true,
+        },
+        // Measured 16–64; NP where TestCaseB does not fit on CTE-Arm.
+        Row {
+            name: "Alya",
+            measured: &[1, 16, 32, 64],
+            fits: |n| n >= Alya::test_case_b().min_nodes(Cluster::CteArm),
+            measure: |cache, cluster, n| {
+                let alya = Alya::test_case_b();
+                alya.simulate_cached(cache, cluster, n).elapsed.value()
+            },
+            rate: false,
+        },
+        // 1 node uses TL255L91; 32–128 use TC0511L91, which is NP at 16.
+        Row {
+            name: "OpenIFS",
+            measured: &[1, 16, 32, 64, 128],
+            fits: |n| n == 1 || n >= OpenIfs::tc0511l91().min_nodes(Cluster::CteArm),
+            measure: |cache, cluster, n| {
+                let input = if n == 1 {
+                    OpenIfs::tl255l91()
+                } else {
+                    OpenIfs::tc0511l91()
+                };
+                input.simulate_cached(cache, cluster, n).elapsed.value()
+            },
+            rate: false,
+        },
+        Row {
+            name: "Gromacs",
+            measured: &NODE_COUNTS,
+            fits: always,
+            measure: |cache, cluster, n| {
+                let gromacs = Gromacs::lignocellulose_rf();
+                gromacs.simulate_cached(cache, cluster, n).elapsed.value()
+            },
+            rate: false,
+        },
+        // Measured 1–64, with history output on.
+        Row {
+            name: "WRF",
+            measured: &[1, 16, 32, 64],
+            fits: always,
+            measure: |cache, cluster, n| {
+                let wrf = Wrf::iberia_4km();
+                wrf.simulate_cached(cache, cluster, n, true).elapsed.value()
+            },
+            rate: false,
+        },
+        // The paper's table reports 16 nodes; NP below 8 on CTE-Arm.
+        Row {
+            name: "NEMO",
+            measured: &[1, 16],
+            fits: |n| n >= Nemo::bench_orca1().min_nodes(Cluster::CteArm),
+            measure: |cache, cluster, n| {
+                let nemo = Nemo::bench_orca1();
+                nemo.simulate_cached(cache, cluster, n).elapsed.value()
+            },
+            rate: false,
+        },
+    ]
 }
 
 /// Compute the full Table-IV matrix, reusing sub-results from `cache` —
-/// every cell revisits a run some figure's sweep already performed.
+/// every cell revisits a run some figure's sweep already performed. Each
+/// (row, node count, cluster) run is one [`fan_out`] task.
 pub fn speedup_cells_cached(cache: &Cache) -> Vec<(String, Vec<Cell>)> {
-    let mut rows = Vec::new();
-
-    // LINPACK — measured at every column.
-    rows.push(row("LINPACK", &NODE_COUNTS, |n| {
-        let cte = arch::machines::cte_arm();
-        let mn4 = arch::machines::marenostrum4();
-        let gc = hpl::simulate_cached(
-            cache,
-            &cte,
-            &LinkModel::tofud(),
-            n,
-            &hpl::paper_config(&cte, n),
-        )
-        .gflops;
-        let gm = hpl::simulate_cached(
-            cache,
-            &mn4,
-            &LinkModel::omnipath(),
-            n,
-            &hpl::paper_config(&mn4, n),
-        )
-        .gflops;
-        Cell::Speedup(gc / gm)
-    }));
-
-    // HPCG — the paper ran 1 and 192 nodes.
-    rows.push(row("HPCG", &[1, 192], |n| {
-        let cfg = HpcgConfig::paper(HpcgVersion::Optimized);
-        let gc = hpcg::simulate_cached(cache, &arch::machines::cte_arm(), n, &cfg).gflops;
-        let gm = hpcg::simulate_cached(cache, &arch::machines::marenostrum4(), n, &cfg).gflops;
-        Cell::Speedup(gc / gm)
-    }));
-
-    // Alya — measured 16–64; NP where TestCaseB does not fit on CTE-Arm.
-    let alya = Alya::test_case_b();
-    rows.push(row("Alya", &[1, 16, 32, 64], |n| {
-        if n < alya.min_nodes(Cluster::CteArm) {
-            return Cell::NotPossible;
-        }
-        let tc = alya.simulate_cached(cache, Cluster::CteArm, n).elapsed;
-        let tm = alya
-            .simulate_cached(cache, Cluster::MareNostrum4, n)
-            .elapsed;
-        Cell::Speedup(tm / tc)
-    }));
-
-    // OpenIFS — 1 node uses TL255L91; 16 nodes is NP for TC0511L91;
-    // 32–128 use TC0511L91.
-    rows.push(row("OpenIFS", &[1, 16, 32, 64, 128], |n| {
-        if n == 1 {
-            let input = OpenIfs::tl255l91();
-            let tc = input.simulate_cached(cache, Cluster::CteArm, 1).elapsed;
-            let tm = input
-                .simulate_cached(cache, Cluster::MareNostrum4, 1)
-                .elapsed;
-            return Cell::Speedup(tm / tc);
-        }
-        let input = OpenIfs::tc0511l91();
-        if n < input.min_nodes(Cluster::CteArm) {
-            return Cell::NotPossible;
-        }
-        let tc = input.simulate_cached(cache, Cluster::CteArm, n).elapsed;
-        let tm = input
-            .simulate_cached(cache, Cluster::MareNostrum4, n)
-            .elapsed;
-        Cell::Speedup(tm / tc)
-    }));
-
-    // Gromacs — measured at every column.
-    let gromacs = Gromacs::lignocellulose_rf();
-    rows.push(row("Gromacs", &NODE_COUNTS, |n| {
-        let tc = gromacs.simulate_cached(cache, Cluster::CteArm, n).elapsed;
-        let tm = gromacs
-            .simulate_cached(cache, Cluster::MareNostrum4, n)
-            .elapsed;
-        Cell::Speedup(tm / tc)
-    }));
-
-    // WRF — measured 1–64.
-    let wrf = Wrf::iberia_4km();
-    rows.push(row("WRF", &[1, 16, 32, 64], |n| {
-        let tc = wrf.simulate_cached(cache, Cluster::CteArm, n, true).elapsed;
-        let tm = wrf
-            .simulate_cached(cache, Cluster::MareNostrum4, n, true)
-            .elapsed;
-        Cell::Speedup(tm / tc)
-    }));
-
-    // NEMO — the paper's table reports 16 nodes; NP below 8 on CTE-Arm.
-    let nemo = Nemo::bench_orca1();
-    rows.push(row("NEMO", &[1, 16], |n| {
-        if n < nemo.min_nodes(Cluster::CteArm) {
-            return Cell::NotPossible;
-        }
-        let tc = nemo.simulate_cached(cache, Cluster::CteArm, n).elapsed;
-        let tm = nemo
-            .simulate_cached(cache, Cluster::MareNostrum4, n)
-            .elapsed;
-        Cell::Speedup(tm / tc)
-    }));
-
-    rows
+    let rows = rows();
+    let runs: Vec<(usize, usize, Cluster)> = rows
+        .iter()
+        .enumerate()
+        .flat_map(|(r, row)| {
+            NODE_COUNTS
+                .into_iter()
+                .filter(|&n| row.has_speedup(n))
+                .flat_map(move |n| Cluster::BOTH.map(|cluster| (r, n, cluster)))
+        })
+        .collect();
+    let mut measured = fan_out(&runs, |&(r, n, cluster)| {
+        (rows[r].measure)(cache, cluster, n)
+    })
+    .into_iter();
+    rows.iter()
+        .map(|row| {
+            let cells = NODE_COUNTS
+                .iter()
+                .map(|&n| {
+                    if !row.measured.contains(&n) {
+                        return Cell::NotAvailable;
+                    }
+                    if !(row.fits)(n) {
+                        return Cell::NotPossible;
+                    }
+                    // Runs come back in task order: CTE-Arm, then MN4.
+                    let cte = measured.next().expect("a CTE-Arm run");
+                    let mn4 = measured.next().expect("a MareNostrum 4 run");
+                    Cell::Speedup(if row.rate { cte / mn4 } else { mn4 / cte })
+                })
+                .collect();
+            (row.name.to_string(), cells)
+        })
+        .collect()
 }
 
 /// Render Table IV, reusing sub-results from `cache`.

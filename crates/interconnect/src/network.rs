@@ -5,7 +5,7 @@ use crate::link::LinkModel;
 use crate::topology::{check_node, NodeId, Topology};
 use simkit::rng::Pcg32;
 use simkit::units::{Bandwidth, Bytes, Time};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Asymmetric per-node bandwidth degradation.
 ///
@@ -79,6 +79,12 @@ pub struct PathCost {
 }
 
 /// A complete network model.
+///
+/// A clone made after the pair table is built shares that table instead of
+/// copying or rebuilding it. The table depends on the topology alone, never
+/// on node health, so a faulted clone of a healthy network prices every
+/// path exactly as a fresh faulted network would.
+#[derive(Clone)]
 pub struct Network<T: Topology> {
     topo: T,
     link: LinkModel,
@@ -99,9 +105,10 @@ pub struct Network<T: Topology> {
     /// Lognormal sigma of dynamic-contention noise for messages ≥ 1 MiB.
     /// The paper observes high run-to-run variability only above 2^20 B.
     large_msg_noise: f64,
-    /// Memoized hop/sharing pair table, built on first request; `None`
-    /// for topologies that answer pairs in O(1) directly.
-    table: OnceLock<Option<FoldedTable>>,
+    /// Memoized hop/sharing pair table, built on first request and shared
+    /// with later clones; `None` for topologies that answer pairs in O(1)
+    /// directly.
+    table: OnceLock<Option<Arc<FoldedTable>>>,
 }
 
 impl<T: Topology> Network<T> {
@@ -228,13 +235,15 @@ impl<T: Topology> Network<T> {
     /// even a full-Fugaku network stays under 10 MB here, while the fat
     /// tree's direct O(1) queries need no table (`None`).
     pub fn routing_table(&self) -> Option<&FoldedTable> {
-        self.table.get_or_init(|| self.topo.pair_table()).as_ref()
+        self.table
+            .get_or_init(|| self.topo.pair_table().map(Arc::new))
+            .as_deref()
     }
 
     /// The memoized table if some caller has already built it, without
     /// triggering the build.
     pub fn table_if_built(&self) -> Option<&FoldedTable> {
-        self.table.get().and_then(Option::as_ref)
+        self.table.get().and_then(Option::as_deref)
     }
 
     /// Resolve the size-independent cost parameters of one path. Uses the

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use simkit::units::Time;
+use std::sync::Arc;
 
 /// What a rank was doing during an interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -45,8 +46,9 @@ pub struct TraceEvent {
     pub start: Time,
     /// Interval end.
     pub end: Time,
-    /// Operation label (kernel or collective name).
-    pub label: String,
+    /// Operation label (kernel or collective name), shared by every event
+    /// of the trace that carries it.
+    pub label: Arc<str>,
 }
 
 impl TraceEvent {
@@ -61,6 +63,10 @@ impl TraceEvent {
 pub struct Trace {
     /// All events, in recording order.
     pub events: Vec<TraceEvent>,
+    /// The distinct labels recorded so far. A job repeats a handful of
+    /// labels over every rank and step, so events share them instead of
+    /// each holding a copy.
+    labels: Vec<Arc<str>>,
 }
 
 impl Trace {
@@ -72,12 +78,20 @@ impl Trace {
     /// Record one interval.
     pub fn record(&mut self, rank: usize, activity: Activity, start: Time, end: Time, label: &str) {
         debug_assert!(end >= start, "negative interval");
+        let label = match self.labels.iter().find(|l| &***l == label) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let shared: Arc<str> = label.into();
+                self.labels.push(Arc::clone(&shared));
+                shared
+            }
+        };
         self.events.push(TraceEvent {
             rank,
             activity,
             start,
             end,
-            label: label.to_string(),
+            label,
         });
     }
 
@@ -173,6 +187,9 @@ mod tests {
         let compute = b.iter().find(|(a, _)| *a == Activity::Compute).unwrap().1;
         assert_eq!(compute, t(3.0));
         assert!((tr.fraction(Activity::Compute) - 0.75).abs() < 1e-12);
+        // Events with one label share it.
+        assert_eq!(&*tr.events[2].label, "k");
+        assert!(Arc::ptr_eq(&tr.events[0].label, &tr.events[2].label));
         assert_eq!(tr.span(), t(3.0));
     }
 

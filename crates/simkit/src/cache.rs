@@ -248,13 +248,22 @@ impl Cache {
         self.len() == 0
     }
 
-    /// Reset the *current thread's* counters (the per-experiment
-    /// attribution the engine uses: one experiment runs entirely on one
-    /// worker thread).
+    /// Reset the *current thread's* counters. The engine resets them when
+    /// an experiment starts on its thread and reads them when it ends; the
+    /// points an experiment fans out to other threads are charged back to
+    /// it with [`Self::add_thread_counters`].
     pub fn reset_thread_counters() {
         THREAD_MEM_HITS.with(|c| c.set(0));
         THREAD_DISK_HITS.with(|c| c.set(0));
         THREAD_MISSES.with(|c| c.set(0));
+    }
+
+    /// Charge `delta` to the current thread's counters: the traffic of
+    /// lookups another thread made on this thread's behalf.
+    pub fn add_thread_counters(delta: TierCounters) {
+        THREAD_MEM_HITS.with(|c| c.set(c.get() + delta.mem_hits));
+        THREAD_DISK_HITS.with(|c| c.set(c.get() + delta.disk_hits));
+        THREAD_MISSES.with(|c| c.set(c.get() + delta.misses));
     }
 
     /// Current thread's counters since the last reset.
@@ -346,6 +355,23 @@ mod tests {
         let _: u64 = cache.get_or_persistent(CacheKey::new("m", "w", "1"), || 1);
         let c = Cache::thread_counters();
         assert_eq!((c.mem_hits, c.disk_hits, c.misses), (1, 0, 1));
+        // Traffic made on this thread's behalf elsewhere is charged here.
+        let elsewhere = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _: u64 = cache.get_or_persistent(CacheKey::new("m", "w", "2"), || 2);
+                Cache::thread_counters()
+            })
+            .join()
+            .expect("helper")
+        });
+        assert_eq!(
+            Cache::thread_counters(),
+            c,
+            "the helper's lookup stays there"
+        );
+        Cache::add_thread_counters(elsewhere);
+        let c = Cache::thread_counters();
+        assert_eq!((c.mem_hits, c.disk_hits, c.misses), (1, 0, 2));
     }
 
     #[test]

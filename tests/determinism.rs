@@ -4,8 +4,11 @@
 //! it. These are the hard guarantees the sub-result cache and the parallel
 //! engine are built on.
 
+mod common;
+
 use cluster_eval::engine::{filter_experiments, run_experiments, Ctx};
 use cluster_eval::experiments::{all_experiments, run};
+use common::at;
 
 #[test]
 fn every_artifact_is_bit_reproducible() {
@@ -22,24 +25,42 @@ fn every_artifact_is_bit_reproducible() {
 fn engine_output_is_independent_of_jobs() {
     // The acceptance bar of the engine: `--jobs 1` and `--jobs 16` produce
     // bit-identical artifacts AND identical per-experiment hit/miss
-    // accounting (deps serialize producers before consumers).
+    // accounting (deps serialize producers before consumers). The same
+    // holds whatever pool width the experiments fan their points out at:
+    // inline (1) or oversubscribed (8), where points computed on pool
+    // helpers are charged back to their experiment.
     let serial = run_experiments(all_experiments(), 1, &Ctx::new());
-    let parallel = run_experiments(all_experiments(), 16, &Ctx::new());
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.id, p.id, "report order is registry order");
-        assert_eq!(
-            s.artifact.to_csv(),
-            p.artifact.to_csv(),
-            "{}: artifact must not depend on worker count",
-            s.id
-        );
-        assert_eq!(
-            (s.mem_hits, s.disk_hits, s.misses),
-            (p.mem_hits, p.disk_hits, p.misses),
-            "{}: cache attribution must not depend on worker count",
-            s.id
-        );
+    let others = [
+        (
+            "--jobs 16",
+            run_experiments(all_experiments(), 16, &Ctx::new()),
+        ),
+        (
+            "pool width 1",
+            at(1, || run_experiments(all_experiments(), 1, &Ctx::new())),
+        ),
+        (
+            "pool width 8",
+            at(8, || run_experiments(all_experiments(), 1, &Ctx::new())),
+        ),
+    ];
+    for (how, other) in &others {
+        assert_eq!(serial.len(), other.len());
+        for (s, p) in serial.iter().zip(other) {
+            assert_eq!(s.id, p.id, "report order is registry order");
+            assert_eq!(
+                s.artifact.to_csv(),
+                p.artifact.to_csv(),
+                "{} under {how}: artifact must not depend on worker count",
+                s.id
+            );
+            assert_eq!(
+                (s.mem_hits, s.disk_hits, s.misses),
+                (p.mem_hits, p.disk_hits, p.misses),
+                "{} under {how}: cache attribution must not depend on worker count",
+                s.id
+            );
+        }
     }
 }
 

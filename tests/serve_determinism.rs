@@ -265,6 +265,33 @@ fn serve_loop_streams_one_line_per_request() {
     assert_eq!(run_batch(&Ctx::new(), &batch, 2).join("\n") + "\n", text);
 }
 
+#[test]
+fn serve_summary_counts_every_answered_query() {
+    // Two computed queries, one query answered with an error in its slot,
+    // and two requests refused whole: 4 requests, 3 answered queries,
+    // though only 2 of them touched the cache.
+    let input = [
+        r#"{"id": 1, "queries": [{"app": "hpl", "machine": "cte-arm", "nodes": 2}, {"app": "hpl", "machine": "mn4", "nodes": 2}]}"#,
+        r#"{"id": 2, "queries": [{"app": "nope", "machine": "cte-arm", "nodes": 1}]}"#,
+        "not json",
+        r#"{"id": 4}"#,
+    ]
+    .join("\n");
+    for jobs in THREAD_LADDER {
+        let summary = cluster_eval::serve::serve(
+            &Ctx::new(),
+            input.as_bytes(),
+            std::io::sink(),
+            std::io::sink(),
+            jobs,
+        )
+        .expect("serve");
+        assert_eq!(summary.requests, 4, "jobs={jobs}");
+        assert_eq!(summary.queries, 3, "jobs={jobs}");
+        assert_eq!(summary.counters.total(), 2, "jobs={jobs}");
+    }
+}
+
 /// Drive the real reader/writer loop over a valid request, the `bad`
 /// line and another valid request, and return the response lines.
 fn serve_around(bad: &[u8]) -> Vec<String> {
