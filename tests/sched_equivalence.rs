@@ -17,7 +17,7 @@
 use interconnect::folded::set_mean_hops;
 use interconnect::placement::mean_pairwise_hops_dense;
 use interconnect::tofu::TofuD;
-use interconnect::topology::NodeId;
+use interconnect::topology::{NodeId, Topology};
 use proptest::prelude::*;
 use sched::{AllocationPolicy, Allocator, JobRequest, NodeFailure, OracleAllocator, Scheduler};
 use simkit::units::Time;
@@ -30,6 +30,13 @@ const POLICIES: [AllocationPolicy; 3] = [
     AllocationPolicy::FirstFit,
     AllocationPolicy::Random,
 ];
+
+/// A 5,184-node TofuD: 81 bitmap words, so first-fit walks cross more
+/// than one 64-word stretch of the eligibility bitmap, which CTE-Arm's
+/// three words never do.
+fn mid_topo() -> TofuD {
+    TofuD::with_dims([12, 6, 6, 2, 3, 2], [true, true, true, false, true, false])
+}
 
 /// Build requests from a compact plan. Submit times are drawn from a
 /// coarse grid so equal submit times are common — the `(submit, id)`
@@ -46,10 +53,27 @@ fn requests_from(plan: &[(usize, u32, u32)]) -> Vec<JobRequest> {
         .collect()
 }
 
+/// The same plan scaled to a cluster `scale` times CTE-Arm's size: each
+/// request grows by `scale`, less a duration-derived remainder so sizes
+/// are not all multiples of `scale`.
+fn scaled_requests(plan: &[(usize, u32, u32)], scale: usize) -> Vec<JobRequest> {
+    let mut requests = requests_from(plan);
+    for r in &mut requests {
+        let dur = r.duration.value() as usize;
+        r.nodes = r.nodes * scale - dur % scale;
+    }
+    requests
+}
+
 fn failures_from(plan: &[(usize, u32)]) -> Vec<NodeFailure> {
+    scaled_failures(plan, 1)
+}
+
+/// Failures spread over a cluster `scale` times CTE-Arm's size.
+fn scaled_failures(plan: &[(usize, u32)], scale: usize) -> Vec<NodeFailure> {
     plan.iter()
         .map(|&(node, at)| NodeFailure {
-            node: NodeId(node % 192),
+            node: NodeId(node % 192 * scale + at as usize % scale),
             at: Time::seconds(at as f64),
         })
         .collect()
@@ -106,9 +130,7 @@ fn run_fast(
     requests: Vec<JobRequest>,
     failures: Vec<NodeFailure>,
 ) -> RunDigest {
-    let alloc = Allocator::new(TofuD::cte_arm(), policy, 42);
-    let (jobs, stats) = Scheduler::new(alloc, backfill).run_with_failures(requests, failures);
-    digest(&jobs, &stats)
+    run_fast_on(TofuD::cte_arm(), policy, backfill, requests, failures)
 }
 
 fn run_oracle(
@@ -117,25 +139,59 @@ fn run_oracle(
     requests: Vec<JobRequest>,
     failures: Vec<NodeFailure>,
 ) -> RunDigest {
-    let alloc = OracleAllocator::new(TofuD::cte_arm(), policy, 42);
+    run_oracle_on(TofuD::cte_arm(), policy, backfill, requests, failures)
+}
+
+fn run_fast_on(
+    topo: TofuD,
+    policy: AllocationPolicy,
+    backfill: bool,
+    requests: Vec<JobRequest>,
+    failures: Vec<NodeFailure>,
+) -> RunDigest {
+    let alloc = Allocator::new(topo, policy, 42);
+    let (jobs, stats) = Scheduler::new(alloc, backfill).run_with_failures(requests, failures);
+    digest(&jobs, &stats)
+}
+
+fn run_oracle_on(
+    topo: TofuD,
+    policy: AllocationPolicy,
+    backfill: bool,
+    requests: Vec<JobRequest>,
+    failures: Vec<NodeFailure>,
+) -> RunDigest {
+    let alloc = OracleAllocator::new(topo, policy, 42);
     let (jobs, stats) = Scheduler::new(alloc, backfill).run_with_failures(requests, failures);
     digest(&jobs, &stats)
 }
 
 proptest! {
-    /// Pick identity: every policy, with failures, fast ≡ oracle.
+    /// Pick identity: every policy, with failures, fast ≡ oracle. The
+    /// 5,184-node shape replays the same plan with job sizes scaled to it,
+    /// under the two policies that walk free runs (the random policy
+    /// shuffles every eligible id, which is slow in a debug build and
+    /// walks no runs).
     #[test]
     fn optimized_allocator_matches_the_oracle(
         plan in proptest::collection::vec((1usize..=96, 0u32..8, 0u32..3000), 1..50),
         fails in proptest::collection::vec((0usize..192, 0u32..6000), 0..4),
         backfill in any::<bool>(),
     ) {
-        let requests = requests_from(&plan);
-        let failures = failures_from(&fails);
-        for policy in POLICIES {
-            let fast = run_fast(policy, backfill, requests.clone(), failures.clone());
-            let slow = run_oracle(policy, backfill, requests.clone(), failures.clone());
-            prop_assert_eq!(&fast, &slow, "policy {:?} diverged from the oracle", policy);
+        let scale = mid_topo().nodes() / 192;
+        let shapes = [
+            (TofuD::cte_arm(), &POLICIES[..], requests_from(&plan), failures_from(&fails)),
+            (mid_topo(), &POLICIES[..2], scaled_requests(&plan, scale), scaled_failures(&fails, scale)),
+        ];
+        for (topo, policies, requests, failures) in shapes {
+            for &policy in policies {
+                let fast = run_fast_on(topo.clone(), policy, backfill, requests.clone(), failures.clone());
+                let slow = run_oracle_on(topo.clone(), policy, backfill, requests.clone(), failures.clone());
+                prop_assert_eq!(
+                    &fast, &slow,
+                    "policy {:?} diverged from the oracle on {} nodes", policy, topo.nodes()
+                );
+            }
         }
     }
 
