@@ -285,116 +285,126 @@ impl Topology for FoldedTable {
 /// ```
 ///
 /// where `h_d` is the histogram of the set's coordinates along dimension
-/// `d` (same-coordinate pairs contribute zero and drop out). The histogram
-/// of a *consecutive-id run* `[s, s+k)` has a closed form per dimension —
-/// `#{ i < m : (i / stride_d) mod ext_d = x }` is piecewise linear in `m` —
-/// so a set of `r` maximal runs costs `O(r · Σ ext_d)` to histogram and
-/// `O(Σ ext_d²)` to combine, independent of the pair count. Hop totals
-/// accumulate exactly in `u64` (the dense walk's own accumulator width,
-/// with the same headroom: the total is bounded by `pairs · max hops`) and
-/// the final `total / pairs` division performs the same integer→`f64`
-/// conversions, so the result is bit-identical to
+/// `d` (same-coordinate pairs contribute zero and drop out). The set comes
+/// as `(start, len)` runs of consecutive ids. Along a run, the dimension-`d`
+/// coordinate steps through segments of `stride_d` ids, so each run's
+/// first id is decoded once and the histogram is filled segment by
+/// segment, with whole `ext_d · stride_d` cycles added in one step: a set
+/// of `r` runs costs `O(r · Σ ext_d)` to histogram, with no division per
+/// segment. The pair sum per dimension comes from running prefix counts
+/// and coordinate sums in `O(ext_d)`. Hop totals accumulate exactly in
+/// `u64` (the dense walk's own accumulator width, with the same headroom:
+/// the total is bounded by `pairs · max hops`) and the final
+/// `total / pairs` division performs the same integer→`f64` conversions,
+/// so the result is bit-identical to
 /// [`mean_pairwise_hops_dense`](crate::placement::mean_pairwise_hops_dense).
 ///
-/// Returns `None` when the ids are not strictly ascending or fall outside
+/// Returns `None` when the runs overlap, are not ascending or fall outside
 /// the topology — callers fall back to the dense walk (which preserves the
 /// historical duplicate handling and out-of-range panics).
-pub fn set_mean_hops(topo: &TofuD, nodes: &[NodeId]) -> Option<f64> {
-    let k = nodes.len();
+pub fn set_mean_hops(topo: &TofuD, runs: &[(usize, usize)]) -> Option<f64> {
+    let n = topo.nodes();
+    let mut k = 0usize;
+    let mut prev_end = 0usize;
+    for &(start, len) in runs {
+        let end = start.checked_add(len)?;
+        if start < prev_end || end > n {
+            return None;
+        }
+        prev_end = end;
+        k += len;
+    }
     if k < 2 {
         return Some(0.0);
     }
-    let n = topo.nodes();
+    let dims = topo.dims;
     let mut stride = [0usize; DIMS];
     let mut s = 1usize;
     for d in (0..DIMS).rev() {
         stride[d] = s;
-        s *= topo.dims[d];
+        s *= dims[d];
     }
     // One flat histogram buffer for all six dimensions: a single
-    // allocation per call, scored a million+ times per replay.
+    // allocation per call, scored a hundred thousand times per replay.
     let mut offsets = [0usize; DIMS + 1];
     for d in 0..DIMS {
-        offsets[d + 1] = offsets[d] + topo.dims[d];
+        offsets[d + 1] = offsets[d] + dims[d];
     }
     let mut hist = vec![0u64; offsets[DIMS]];
-    let mut i = 0;
-    while i < k {
-        let start = nodes[i].index();
-        let mut j = i + 1;
-        while j < k && nodes[j].index() == nodes[j - 1].index() + 1 {
-            j += 1;
+    for &(start, len) in runs.iter().filter(|r| r.1 > 0) {
+        let mut c = [0usize; DIMS];
+        let mut rem = start;
+        for d in (0..DIMS).rev() {
+            c[d] = rem % dims[d];
+            rem /= dims[d];
         }
-        if j < k && nodes[j].index() <= nodes[j - 1].index() {
-            return None; // unsorted or duplicate ids: dense walk territory
-        }
-        let end = nodes[j - 1].index() + 1;
-        if end > n {
-            return None; // out of range: let the dense walk panic with context
-        }
-        for d in 0..DIMS {
-            run_coord_counts(
-                topo.dims[d],
-                stride[d],
-                start,
-                end,
-                &mut hist[offsets[d]..offsets[d + 1]],
-            );
-        }
-        i = j;
-    }
-    let mut total: u64 = 0;
-    for d in 0..DIMS {
-        let e = topo.dims[d];
-        let h = &hist[offsets[d]..offsets[d + 1]];
-        for x in 0..e {
-            if h[x] == 0 {
-                continue;
-            }
-            for y in (x + 1)..e {
-                if h[y] == 0 {
-                    continue;
+        // `start mod stride_d`: the run's offset into its first segment.
+        let mut inner = 0usize;
+        for d in (0..DIMS).rev() {
+            let h = &mut hist[offsets[d]..offsets[d + 1]];
+            let cycle = dims[d] * stride[d];
+            let mut left = len;
+            if left >= cycle {
+                // Whole cycles hit every coordinate `stride` times and
+                // leave the phase where it was.
+                let cycles = left / cycle;
+                let per = (cycles * stride[d]) as u64;
+                for slot in h.iter_mut() {
+                    *slot += per;
                 }
-                let span = y - x;
-                let dist = if topo.periodic[d] {
-                    span.min(e - span)
-                } else {
-                    span
-                };
-                total += h[x] * h[y] * dist as u64;
+                left -= cycles * cycle;
             }
+            let (mut x, mut seg) = (c[d], stride[d] - inner);
+            while left > 0 {
+                let take = seg.min(left);
+                h[x] += take as u64;
+                left -= take;
+                x += 1;
+                if x == dims[d] {
+                    x = 0;
+                }
+                seg = stride[d];
+            }
+            inner += c[d] * stride[d];
         }
     }
+    let total: u64 = (0..DIMS)
+        .map(|d| pair_distance_total(&hist[offsets[d]..offsets[d + 1]], topo.periodic[d]))
+        .sum();
     let pairs = k as u64 * (k as u64 - 1) / 2;
     Some(total as f64 / pairs as f64)
 }
 
-/// Add to `hist[x]` the number of ids `m ∈ [lo, hi)` whose coordinate in a
-/// dimension of extent `e` and stride `stride` equals `x`. The prefix count
-/// `f(m, x) = #{ i < m : (i / stride) mod e = x }` decomposes into whole
-/// `e·stride` cycles plus a partial cycle, giving an O(1) expression per
-/// coordinate value.
-fn run_coord_counts(e: usize, stride: usize, lo: usize, hi: usize, hist: &mut [u64]) {
-    // Whole `e·stride` cycles hit every coordinate `stride` times; the
-    // remainder is walked one coordinate segment at a time. A run shorter
-    // than the cycle touches only `len/stride + 2` coordinates, so short
-    // runs in outer (large-stride) dimensions cost O(1) instead of O(e) —
-    // the common case when scoring fragmented allocations.
-    let cycle = e * stride;
-    let cycles = (hi - lo) / cycle;
-    if cycles > 0 {
-        let per = (cycles * stride) as u64;
-        for slot in hist.iter_mut() {
-            *slot += per;
+/// `Σ_{x<y} h[x] · h[y] · dist(x, y)` along one dimension, in `O(ext)`.
+///
+/// For each `y`, the pairs with `x < y` split at `y − ⌊ext/2⌋` on a torus:
+/// nearer coordinates are `y − x` apart, farther ones wrap, `ext − y + x`
+/// apart (a mesh never wraps). Running sums of `h[x]` and `x · h[x]` below
+/// `y` and below the split give both parts without a pair loop; every term
+/// is an exact integer, so the total equals the pairwise sum.
+fn pair_distance_total(h: &[u64], periodic: bool) -> u64 {
+    let e = h.len();
+    let half = if periodic { e / 2 } else { e };
+    // Σ h[x] and Σ x·h[x] over x < y, and over x < y − half.
+    let (mut count, mut moment) = (0u64, 0u64);
+    let (mut far_count, mut far_moment) = (0u64, 0u64);
+    let mut total = 0u64;
+    for (y, &hy) in h.iter().enumerate() {
+        if y > half {
+            let x = y - half - 1;
+            far_count += h[x];
+            far_moment += x as u64 * h[x];
         }
+        let yy = y as u64;
+        if hy > 0 {
+            let near = yy * (count - far_count) - (moment - far_moment);
+            let far = (e as u64 - yy) * far_count + far_moment;
+            total += hy * (near + far);
+        }
+        count += hy;
+        moment += yy * hy;
     }
-    let mut m = lo + cycles * cycle;
-    while m < hi {
-        let q = m / stride;
-        let seg_end = ((q + 1) * stride).min(hi);
-        hist[q % e] += (seg_end - m) as u64;
-        m = seg_end;
-    }
+    total
 }
 
 #[cfg(test)]
@@ -478,7 +488,7 @@ mod tests {
 
     #[test]
     fn set_mean_hops_matches_dense_on_assorted_sets() {
-        use crate::placement::mean_pairwise_hops_dense;
+        use crate::placement::{id_runs, mean_pairwise_hops_dense};
         let shapes = [
             TofuD::cte_arm(),
             TofuD::with_dims([3, 2, 2, 2, 3, 2], [true, false, true, false, true, false]),
@@ -494,7 +504,8 @@ mod tests {
                 (n / 3..n / 3 + n.min(30) / 2).map(NodeId).collect(),
             ];
             for nodes in &sets {
-                let closed = set_mean_hops(t, nodes).expect("sorted set folds");
+                let runs = id_runs(nodes).expect("ascending ids");
+                let closed = set_mean_hops(t, &runs).expect("sorted set folds");
                 let dense = mean_pairwise_hops_dense(t, nodes);
                 assert_eq!(
                     closed.to_bits(),
@@ -508,21 +519,41 @@ mod tests {
     }
 
     #[test]
+    fn pair_distance_total_matches_the_pair_loop() {
+        let mut rng = simkit::rng::Pcg32::seeded(5);
+        for e in 1..=30 {
+            for periodic in [false, true] {
+                let h: Vec<u64> = (0..e)
+                    .map(|_| u64::from(rng.next_below(4)) * u64::from(rng.next_below(50)))
+                    .collect();
+                let mut want = 0u64;
+                for x in 0..e {
+                    for y in x + 1..e {
+                        let span = y - x;
+                        let dist = if periodic { span.min(e - span) } else { span };
+                        want += h[x] * h[y] * dist as u64;
+                    }
+                }
+                assert_eq!(pair_distance_total(&h, periodic), want, "e {e} {periodic}");
+            }
+        }
+    }
+
+    #[test]
     fn set_mean_hops_rejects_unfoldable_inputs() {
         let t = TofuD::cte_arm();
+        assert!(set_mean_hops(&t, &[(5, 1), (2, 1)]).is_none(), "unsorted");
+        assert!(set_mean_hops(&t, &[(2, 1), (2, 1)]).is_none(), "duplicate");
+        assert!(set_mean_hops(&t, &[(0, 4), (2, 5)]).is_none(), "overlap");
         assert!(
-            set_mean_hops(&t, &[NodeId(5), NodeId(2)]).is_none(),
-            "unsorted"
-        );
-        assert!(
-            set_mean_hops(&t, &[NodeId(2), NodeId(2)]).is_none(),
-            "duplicate"
-        );
-        assert!(
-            set_mean_hops(&t, &[NodeId(0), NodeId(500)]).is_none(),
+            set_mean_hops(&t, &[(0, 1), (500, 1)]).is_none(),
             "out of range"
         );
-        assert_eq!(set_mean_hops(&t, &[NodeId(7)]), Some(0.0), "singleton");
+        assert!(
+            set_mean_hops(&t, &[(0, 1), (usize::MAX, 2)]).is_none(),
+            "overflowing run"
+        );
+        assert_eq!(set_mean_hops(&t, &[(7, 1)]), Some(0.0), "singleton");
         assert_eq!(set_mean_hops(&t, &[]), Some(0.0), "empty");
     }
 
@@ -535,11 +566,10 @@ mod tests {
             [24, 23, 24, 2, 3, 2],
             [true, true, true, false, true, false],
         );
-        let nodes: Vec<NodeId> = (0..65_536)
-            .chain((100_000..t.nodes()).step_by(97))
-            .map(NodeId)
+        let runs: Vec<(usize, usize)> = std::iter::once((0, 65_536))
+            .chain((100_000..t.nodes()).step_by(97).map(|i| (i, 1)))
             .collect();
-        let mean = set_mean_hops(&t, &nodes).expect("folds");
+        let mean = set_mean_hops(&t, &runs).expect("folds");
         let diam = t.diameter() as f64;
         assert!(mean > 0.0 && mean < diam, "mean {mean} within (0, {diam})");
     }

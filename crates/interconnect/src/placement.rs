@@ -52,16 +52,49 @@ pub fn allocate<T: Topology>(
 /// Mean pairwise hop distance of an allocation — the quantity the
 /// topology-aware scheduler minimizes.
 ///
-/// Topologies with a closed form (TofuD's per-dimension histogram fold,
-/// see [`Topology::set_mean_hops`]) answer without touching the k² pairs;
-/// everything else takes the dense walk in
+/// Strictly ascending ids are grouped into runs of consecutive ids and
+/// handed to the topology's closed form (TofuD's per-dimension histogram
+/// fold, see [`Topology::set_mean_hops`]), which answers without touching
+/// the k² pairs. Unsorted or duplicated ids, out-of-range ids and
+/// topologies without a closed form take the dense walk in
 /// [`mean_pairwise_hops_dense`]. Both paths produce bit-identical results
 /// at every thread count, so callers never observe which one ran.
 pub fn mean_pairwise_hops<T: Topology + Sync>(topo: &T, nodes: &[NodeId]) -> f64 {
-    if let Some(mean) = topo.set_mean_hops(nodes) {
+    if let Some(mean) = id_runs(nodes).and_then(|runs| topo.set_mean_hops(&runs)) {
         return mean;
     }
     mean_pairwise_hops_dense(topo, nodes)
+}
+
+/// [`mean_pairwise_hops`] of a node set given as `(start, len)` runs of
+/// consecutive ids, ascending and disjoint — the form the scheduler keeps
+/// its allocations in. Topologies without a closed form expand the runs
+/// and take the dense walk.
+pub fn mean_run_hops<T: Topology + Sync>(topo: &T, runs: &[(usize, usize)]) -> f64 {
+    topo.set_mean_hops(runs).unwrap_or_else(|| {
+        let nodes: Vec<NodeId> = runs
+            .iter()
+            .flat_map(|&(start, len)| (start..start + len).map(NodeId))
+            .collect();
+        mean_pairwise_hops_dense(topo, &nodes)
+    })
+}
+
+/// Group strictly ascending ids into maximal `(start, len)` runs of
+/// consecutive ids; `None` when the ids are unsorted or repeat.
+pub fn id_runs(nodes: &[NodeId]) -> Option<Vec<(usize, usize)>> {
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    let mut prev: Option<usize> = None;
+    for n in nodes {
+        let i = n.index();
+        match prev {
+            Some(p) if i <= p => return None,
+            Some(p) if i == p + 1 => runs.last_mut().expect("a run is open").1 += 1,
+            _ => runs.push((i, 1)),
+        }
+        prev = Some(i);
+    }
+    Some(runs)
 }
 
 /// The dense all-pairs walk behind [`mean_pairwise_hops`] — the
@@ -138,6 +171,34 @@ mod tests {
             hb < hr,
             "contiguous {hb} should beat random {hr} on mean hops"
         );
+    }
+
+    #[test]
+    fn id_runs_group_consecutive_ids_and_refuse_disorder() {
+        let ids = |v: &[usize]| v.iter().copied().map(NodeId).collect::<Vec<_>>();
+        assert_eq!(
+            id_runs(&ids(&[0, 1, 2, 5, 7, 8])),
+            Some(vec![(0, 3), (5, 1), (7, 2)])
+        );
+        assert_eq!(id_runs(&[]), Some(vec![]));
+        assert_eq!(id_runs(&ids(&[3, 2])), None, "unsorted");
+        assert_eq!(id_runs(&ids(&[3, 3])), None, "duplicate");
+    }
+
+    #[test]
+    fn run_hops_match_the_node_list_on_every_path() {
+        let t = TofuD::cte_arm();
+        let runs = [(0, 5), (40, 12), (150, 3)];
+        let nodes: Vec<NodeId> = runs
+            .iter()
+            .flat_map(|&(s, l)| (s..s + l).map(NodeId))
+            .collect();
+        let dense = mean_pairwise_hops_dense(&t, &nodes);
+        assert_eq!(mean_run_hops(&t, &runs).to_bits(), dense.to_bits());
+        assert_eq!(mean_pairwise_hops(&t, &nodes).to_bits(), dense.to_bits());
+        // The folded table has no closed form: the runs are expanded.
+        let f = crate::folded::FoldedTable::build(&t);
+        assert_eq!(mean_run_hops(&f, &runs).to_bits(), dense.to_bits());
     }
 
     #[test]

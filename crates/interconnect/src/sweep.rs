@@ -120,8 +120,32 @@ pub fn uniform_all_pairs_loads(topo: &TofuD) -> LinkLoad {
 /// `(max, mean)` link load under uniform all-pairs traffic — the
 /// closed-form replacement for
 /// [`crate::routing::all_pairs_link_load`], usable at full-Fugaku scale.
+///
+/// Each of the `n / ext_d` nodes at dim-`d` coordinate `x` carries the
+/// same port load `(n / ext_d) · W_d(x, s)`, so the max and mean over used
+/// links come from the per-dimension port counts in `O(Σ ext)`, without
+/// the `n · 12`-slot [`LinkLoad`] of [`uniform_all_pairs_loads`]. The
+/// integer sums and the final division are the ones
+/// [`LinkLoad::max_mean`] performs, so the result is bit-identical.
 pub fn uniform_link_load(topo: &TofuD) -> (f64, f64) {
-    uniform_all_pairs_loads(topo).max_mean()
+    let n = topo.nodes();
+    let (mut max, mut sum, mut used) = (0u64, 0u64, 0u64);
+    for d in 0..DIMS {
+        let completions = (n / topo.dims[d]) as u64;
+        for &w in &dim_port_loads(topo.dims[d], topo.periodic[d]).counts {
+            if w > 0 {
+                let load = w * completions;
+                max = max.max(load);
+                sum += load * completions;
+                used += completions;
+            }
+        }
+    }
+    if used == 0 {
+        (0.0, 0.0)
+    } else {
+        (max as f64, sum as f64 / used as f64)
+    }
 }
 
 /// Mean pairwise hop distance over every ordered non-self node pair, in
@@ -164,12 +188,17 @@ mod tests {
     #[test]
     fn closed_form_loads_match_streamed_enumeration() {
         for t in shapes() {
+            let streamed = all_pairs_loads(&t);
             assert_eq!(
                 uniform_all_pairs_loads(&t),
-                all_pairs_loads(&t),
+                streamed,
                 "loads diverge on dims {:?}",
                 t.dims
             );
+            let (max, mean) = uniform_link_load(&t);
+            let (want_max, want_mean) = streamed.max_mean();
+            assert_eq!(max.to_bits(), want_max.to_bits(), "max on {:?}", t.dims);
+            assert_eq!(mean.to_bits(), want_mean.to_bits(), "mean on {:?}", t.dims);
         }
     }
 

@@ -152,10 +152,10 @@ impl Topology for TofuD {
             .sum()
     }
 
-    /// Per-dimension histogram fold: mean pairwise hops of a sorted node
-    /// set without enumerating pairs (see [`crate::folded::set_mean_hops`]).
-    fn set_mean_hops(&self, nodes: &[NodeId]) -> Option<f64> {
-        crate::folded::set_mean_hops(self, nodes)
+    /// Per-dimension histogram fold: mean pairwise hops of a set of id
+    /// runs without enumerating pairs (see [`crate::folded::set_mean_hops`]).
+    fn set_mean_hops(&self, runs: &[(usize, usize)]) -> Option<f64> {
+        crate::folded::set_mean_hops(self, runs)
     }
 
     /// Torus translation symmetry folds the pair table to one entry per

@@ -52,14 +52,15 @@ pub trait Topology {
     }
 
     /// Mean pairwise hop distance of a node set in closed form, when the
-    /// topology can produce it without enumerating the k² pairs. `None`
-    /// (the default) sends callers down the dense pair scan in
-    /// [`mean_pairwise_hops`](crate::placement::mean_pairwise_hops);
+    /// topology can produce it without enumerating the k² pairs. The set
+    /// is given as `(start, len)` runs of consecutive ids, ascending and
+    /// disjoint. `None` (the default) sends callers down the dense pair
+    /// scan in [`mean_pairwise_hops`](crate::placement::mean_pairwise_hops);
     /// topologies with per-dimension separable distances (TofuD) override
     /// this with an exact histogram fold that is bit-identical to the
     /// scan. Implementations may also return `None` for inputs they
-    /// cannot fold (unsorted or duplicated ids).
-    fn set_mean_hops(&self, _nodes: &[NodeId]) -> Option<f64> {
+    /// cannot fold (overlapping, unsorted or out-of-range runs).
+    fn set_mean_hops(&self, _runs: &[(usize, usize)]) -> Option<f64> {
         None
     }
 

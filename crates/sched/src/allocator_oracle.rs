@@ -1,14 +1,15 @@
 //! The original scan-based allocator, retained as a differential oracle.
 //!
 //! [`OracleAllocator`] is the pre-run-index implementation of
-//! [`crate::Allocator`] kept byte-for-byte: every query rescans the
-//! `Vec<bool>` occupancy arrays. It is O(n) per call — unusable at
-//! full-Fugaku replay scale, which is exactly why it makes a trustworthy
-//! oracle: the equivalence battery (`tests/sched_equivalence.rs`) replays
-//! identical workloads through both allocators and demands identical node
-//! picks, RNG streams, stats, and requeue behaviour on every
-//! [`AllocationPolicy`].
+//! [`crate::Allocator`]: every query rescans the `Vec<bool>` occupancy
+//! arrays and picks a node list, converted once into an [`Allocation`] on
+//! the way out. It is O(n) per call — unusable at full-Fugaku replay
+//! scale, which is exactly why it makes a trustworthy oracle: the
+//! equivalence battery (`tests/sched_equivalence.rs`) replays identical
+//! workloads through both allocators and demands identical node picks,
+//! RNG streams, stats, and requeue behaviour on every [`AllocationPolicy`].
 
+use crate::allocation::Allocation;
 use crate::allocator::{AllocationPolicy, NodePool};
 use interconnect::placement::mean_pairwise_hops;
 use interconnect::topology::{NodeId, Topology};
@@ -70,7 +71,7 @@ impl<T: Topology> OracleAllocator<T> {
     }
 
     /// Try to allocate `count` nodes; `None` if not enough are free.
-    pub fn allocate(&mut self, count: usize) -> Option<Vec<NodeId>> {
+    pub fn allocate(&mut self, count: usize) -> Option<Allocation> {
         assert!(count >= 1, "zero-node allocation");
         if self.free_count() < count {
             return None;
@@ -84,12 +85,12 @@ impl<T: Topology> OracleAllocator<T> {
             debug_assert!(self.free[n.index()], "double allocation");
             self.free[n.index()] = false;
         }
-        Some(picked)
+        Some(Allocation::from_ids(&picked))
     }
 
     /// Return an allocation's nodes to the free pool.
-    pub fn release(&mut self, nodes: &[NodeId]) {
-        for n in nodes {
+    pub fn release(&mut self, allocation: &Allocation) {
+        for n in allocation.nodes() {
             assert!(!self.free[n.index()], "releasing a free node");
             self.free[n.index()] = true;
         }
@@ -143,12 +144,14 @@ impl<T: Topology> OracleAllocator<T> {
         picked.into_iter().map(NodeId).collect()
     }
 
-    /// Compactness of an allocation: mean pairwise hop distance.
-    pub fn compactness(&self, nodes: &[NodeId]) -> f64
+    /// Compactness of an allocation: mean pairwise hop distance of its
+    /// node list.
+    pub fn compactness(&self, allocation: &Allocation) -> f64
     where
         T: Sync,
     {
-        mean_pairwise_hops(&self.topo, nodes)
+        let nodes: Vec<NodeId> = allocation.nodes().collect();
+        mean_pairwise_hops(&self.topo, &nodes)
     }
 
     /// Fragmentation of the free pool: 1 − (largest free run / free count).
@@ -190,16 +193,16 @@ impl<T: Topology + Sync> NodePool for OracleAllocator<T> {
         OracleAllocator::fail_node(self, node)
     }
 
-    fn allocate(&mut self, count: usize) -> Option<Vec<NodeId>> {
+    fn allocate(&mut self, count: usize) -> Option<Allocation> {
         OracleAllocator::allocate(self, count)
     }
 
-    fn release(&mut self, nodes: &[NodeId]) {
-        OracleAllocator::release(self, nodes)
+    fn release(&mut self, allocation: &Allocation) {
+        OracleAllocator::release(self, allocation)
     }
 
-    fn compactness(&self, nodes: &[NodeId]) -> f64 {
-        OracleAllocator::compactness(self, nodes)
+    fn compactness(&self, allocation: &Allocation) -> f64 {
+        OracleAllocator::compactness(self, allocation)
     }
 }
 
@@ -222,7 +225,7 @@ mod tests {
         ] {
             let mut oracle = OracleAllocator::new(TofuD::cte_arm(), policy, 9);
             let mut fast = Allocator::new(TofuD::cte_arm(), policy, 9);
-            let mut live: Vec<Vec<NodeId>> = Vec::new();
+            let mut live: Vec<Allocation> = Vec::new();
             let mut rng = Pcg32::seeded(1234);
             for step in 0..600 {
                 match rng.next_below(10) {

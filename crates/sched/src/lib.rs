@@ -25,11 +25,13 @@
 
 #![warn(missing_docs)]
 
+pub mod allocation;
 pub mod allocator;
 pub mod allocator_oracle;
 pub mod queue;
 pub mod workload;
 
+pub use allocation::Allocation;
 pub use allocator::{AllocationPolicy, Allocator, NodePool};
 pub use allocator_oracle::OracleAllocator;
 pub use queue::{JobRequest, JobState, NodeFailure, Scheduler, SchedulerStats};

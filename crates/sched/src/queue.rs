@@ -6,9 +6,12 @@
 //! segment tree over job indices finds the leftmost waiting job that fits
 //! the free pool in O(log m), replacing the per-event rescan of a `Vec` —
 //! at million-job replay scale the old scan was quadratic in the queue
-//! depth. Dispatch order, billing order, and event order are unchanged, so
+//! depth. Submissions stream from the sorted jobs, so the event heap holds
+//! only completions and failures (about as many as there are running
+//! jobs). Dispatch order, billing order, and event order are unchanged, so
 //! results are byte-identical to the historical implementation.
 
+use crate::allocation::Allocation;
 use crate::allocator::NodePool;
 use interconnect::topology::{NodeId, Topology};
 use simkit::event::EventQueue;
@@ -49,7 +52,7 @@ pub struct JobState {
     pub end: Option<Time>,
     /// The allocation, while running/after completion (cleared at finish
     /// when [`Scheduler::retain_allocations`] is disabled).
-    pub allocation: Vec<NodeId>,
+    pub allocation: Allocation,
     /// Mean pairwise hops of the allocation (compactness at start).
     pub compactness: f64,
     /// How many times a node failure killed this job back into the queue.
@@ -88,6 +91,8 @@ pub struct SchedulerStats {
 /// Scheduler events. `Finish` carries the job's dispatch epoch: a node
 /// failure that kills the job bumps its epoch, turning the already-queued
 /// completion event into a stale no-op (the event queue has no cancel).
+/// `Submit` never enters the queue: submissions stream from the sorted
+/// jobs.
 enum Event {
     Submit(usize),
     Finish(usize, u64),
@@ -219,10 +224,10 @@ impl<A: NodePool> Scheduler<A> {
         }
     }
 
-    /// Whether finished jobs keep their node lists in [`JobState`]
-    /// (default `true`). Million-job replays disable this: the per-job
-    /// `Vec<NodeId>` is the dominant memory term at full-Fugaku scale, and
-    /// the aggregate stats never read it after release.
+    /// Whether finished jobs keep their allocations in [`JobState`]
+    /// (default `true`). Million-job replays disable this: the per-job run
+    /// lists are the dominant memory term at full-Fugaku scale, and the
+    /// aggregate stats never read them after release.
     pub fn retain_allocations(mut self, keep: bool) -> Self {
         self.retain_allocations = keep;
         self
@@ -231,8 +236,8 @@ impl<A: NodePool> Scheduler<A> {
     /// Run a workload to completion and return per-job states + stats.
     ///
     /// # Panics
-    /// Panics if any request exceeds the cluster or has a non-positive
-    /// duration.
+    /// Panics if any request exceeds the cluster, has a non-positive
+    /// duration or is submitted before t = 0.
     pub fn run(self, requests: Vec<JobRequest>) -> (Vec<JobState>, SchedulerStats) {
         self.run_with_failures(requests, Vec::new())
     }
@@ -246,7 +251,8 @@ impl<A: NodePool> Scheduler<A> {
     ///
     /// # Panics
     /// Panics if any request exceeds the cluster, has a non-positive
-    /// duration, or a failure names a node outside the topology.
+    /// duration or is submitted before t = 0, or if a failure names a node
+    /// outside the topology or a time before t = 0.
     pub fn run_with_failures(
         mut self,
         mut requests: Vec<JobRequest>,
@@ -261,6 +267,11 @@ impl<A: NodePool> Scheduler<A> {
                 r.nodes
             );
             assert!(r.duration > Time::ZERO, "job {} has no duration", r.id);
+            assert!(
+                r.submit >= Time::ZERO,
+                "job {} is submitted before t = 0",
+                r.id
+            );
         }
         for f in &failures {
             assert!(f.node.index() < cluster, "failure names an unknown node");
@@ -274,36 +285,49 @@ impl<A: NodePool> Scheduler<A> {
                 .then(a.id.cmp(&b.id))
         });
         self.jobs = requests
-            .iter()
-            .map(|r| JobState {
-                request: r.clone(),
+            .into_iter()
+            .map(|request| JobState {
+                request,
                 start: None,
                 end: None,
-                allocation: Vec::new(),
+                allocation: Allocation::default(),
                 compactness: 0.0,
                 requeues: 0,
                 abandoned: false,
             })
             .collect();
+        let jobs = self.jobs.len();
 
         // Sorted by (submit, id), a job's FCFS priority is its index:
         // requeues keep original submit order, so the waiting set never
         // needs more than the index to order itself.
-        let mut waiting = WaitIndex::new(requests.len());
-        let mut epochs: Vec<u64> = vec![0; requests.len()];
+        let mut waiting = WaitIndex::new(jobs);
+        let mut epochs: Vec<u64> = vec![0; jobs];
+        // Failures enter the heap before any completion, so at equal times
+        // the order is submission, failure, completion — the enqueue order
+        // of a heap that also held every submission.
         let mut events: EventQueue<Event> = EventQueue::new();
-        for (idx, r) in requests.iter().enumerate() {
-            events.schedule_at(r.submit, Event::Submit(idx));
-        }
         for f in &failures {
             events.schedule_at(f.at, Event::Fail(f.node));
         }
+        let mut next_submit = 0usize;
 
         let mut busy_node_time = 0.0;
         let mut failed_nodes = 0usize;
         let mut requeued = 0usize;
         let mut abandoned = 0usize;
-        while let Some((now, ev)) = events.pop() {
+        loop {
+            let due = self.jobs.get(next_submit).map(|j| j.request.submit);
+            let (now, ev) = match (due, events.peek_time()) {
+                (Some(submit), next) if next.is_none_or(|t| submit <= t) => {
+                    next_submit += 1;
+                    (submit, Event::Submit(next_submit - 1))
+                }
+                _ => match events.pop() {
+                    Some(event) => event,
+                    None => break,
+                },
+            };
             match ev {
                 Event::Submit(idx) => {
                     if self.jobs[idx].request.nodes > self.allocator.alive_count() {
@@ -334,7 +358,7 @@ impl<A: NodePool> Scheduler<A> {
                             .jobs
                             .iter()
                             .position(|j| {
-                                j.start.is_some() && j.end.is_none() && j.allocation.contains(&node)
+                                j.start.is_some() && j.end.is_none() && j.allocation.contains(node)
                             })
                             .expect("an allocated node belongs to a running job");
                         // Kill: bill the partial work, free the nodes,
@@ -376,17 +400,17 @@ impl<A: NodePool> Scheduler<A> {
                 };
                 let Some(idx) = next else { break };
                 let want = self.jobs[idx].request.nodes;
-                let nodes = self
+                let allocation = self
                     .allocator
                     .allocate(want)
                     .expect("the waiting index admitted a job that fits");
-                self.jobs[idx].compactness = self.allocator.compactness(&nodes);
+                self.jobs[idx].compactness = self.allocator.compactness(&allocation);
                 self.jobs[idx].start = Some(now);
                 events.schedule_at(
                     now + self.jobs[idx].request.duration,
                     Event::Finish(idx, epochs[idx]),
                 );
-                self.jobs[idx].allocation = nodes;
+                self.jobs[idx].allocation = allocation;
                 waiting.remove(idx);
             }
         }
@@ -606,7 +630,7 @@ mod tests {
         assert!(!jobs[0].abandoned);
         assert_eq!(jobs[0].end, Some(Time::seconds(80.0)), "30 + fresh 50");
         assert!(
-            !jobs[0].allocation.contains(&NodeId(40)),
+            !jobs[0].allocation.contains(NodeId(40)),
             "replacement avoids the dead node"
         );
         assert!(stats.makespan == Time::seconds(80.0));

@@ -77,6 +77,11 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
+    /// Time of the earliest pending event, without popping it.
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|e| e.at)
+    }
+
     /// Schedule `payload` to fire at absolute time `at`.
     ///
     /// # Panics
@@ -238,5 +243,18 @@ mod tests {
         q.schedule_at(Time::seconds(1.0), ());
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn peek_time_shows_the_next_pop_without_taking_it() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule_at(Time::seconds(3.0), "late");
+        q.schedule_at(Time::seconds(2.0), "early");
+        assert_eq!(q.peek_time(), Some(Time::seconds(2.0)));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.now(), Time::ZERO, "peeking does not advance the clock");
+        assert_eq!(q.pop(), Some((Time::seconds(2.0), "early")));
+        assert_eq!(q.peek_time(), Some(Time::seconds(3.0)));
     }
 }

@@ -83,6 +83,11 @@ proptest! {
             interconnect::sweep::uniform_all_pairs_loads(&topo),
             all_pairs_loads(&topo)
         );
+        // (max, mean) from the port counts vs. the streamed loads, as bits.
+        let (max, mean) = interconnect::sweep::uniform_link_load(&topo);
+        let (want_max, want_mean) = interconnect::routing::all_pairs_link_load(&topo);
+        prop_assert_eq!(max.to_bits(), want_max.to_bits());
+        prop_assert_eq!(mean.to_bits(), want_mean.to_bits());
         // Mean hops: closed form vs. the full pair scan, to the bit.
         let all: Vec<NodeId> = (0..topo.nodes()).map(NodeId).collect();
         prop_assert_eq!(

@@ -295,14 +295,14 @@ proptest! {
             AllocationPolicy::Random,
         ][policy_idx];
         let mut alloc = Allocator::new(TofuD::cte_arm(), policy, 11);
-        let mut live: Vec<Vec<interconnect::topology::NodeId>> = Vec::new();
+        let mut live: Vec<sched::Allocation> = Vec::new();
         let mut expected_free = 192usize;
         for &want in &requests {
             match alloc.allocate(want) {
                 Some(nodes) => {
                     prop_assert_eq!(nodes.len(), want);
                     // Distinct nodes within the allocation.
-                    let mut d = nodes.clone();
+                    let mut d: Vec<_> = nodes.nodes().collect();
                     d.sort();
                     d.dedup();
                     prop_assert_eq!(d.len(), want);

@@ -15,7 +15,7 @@
 //! bit-for-bit with the dense O(k²) pairwise walk it replaced.
 
 use interconnect::folded::set_mean_hops;
-use interconnect::placement::mean_pairwise_hops_dense;
+use interconnect::placement::{id_runs, mean_pairwise_hops_dense};
 use interconnect::tofu::TofuD;
 use interconnect::topology::{NodeId, Topology};
 use proptest::prelude::*;
@@ -101,7 +101,7 @@ fn digest(jobs: &[sched::JobState], stats: &sched::SchedulerStats) -> RunDigest 
     RunDigest {
         allocations: jobs
             .iter()
-            .map(|j| j.allocation.iter().map(|n| n.index()).collect())
+            .map(|j| j.allocation.nodes().map(|n| n.index()).collect())
             .collect(),
         starts: jobs
             .iter()
@@ -229,7 +229,8 @@ proptest! {
         }
         let topo = cluster_eval::faults::fugaku_topo();
         let nodes: Vec<NodeId> = ids.into_iter().map(NodeId).collect();
-        let closed = set_mean_hops(&topo, &nodes).expect("in-bounds nodes");
+        let runs = id_runs(&nodes).expect("ascending ids");
+        let closed = set_mean_hops(&topo, &runs).expect("in-bounds nodes");
         let dense = mean_pairwise_hops_dense(&topo, &nodes);
         prop_assert_eq!(closed.to_bits(), dense.to_bits());
     }
