@@ -416,14 +416,6 @@ impl LinkLoad {
         self.counts[Self::slot(from, dim, dir)] += 1;
     }
 
-    /// Count `n` traversals of the directed link at once — the bulk entry
-    /// point for closed-form fills ([`crate::sweep`]) that expand
-    /// per-offset counts by symmetry instead of walking routes.
-    #[inline]
-    pub fn add(&mut self, from: NodeId, dim: usize, dir: i8, n: u64) {
-        self.counts[Self::slot(from, dim, dir)] += n;
-    }
-
     /// Traversals recorded for one directed link.
     #[inline]
     pub fn get(&self, from: NodeId, dim: usize, dir: i8) -> u64 {
@@ -473,8 +465,8 @@ impl LinkLoad {
 /// explicit grain keeps ≤ 64 chunks of ≥ 16 sources; it is a pure
 /// function of `n`, so determinism is unaffected, and the counts are
 /// integers, so re-chunking cannot change the result. For the closed-form
-/// route that skips enumeration entirely see
-/// [`crate::sweep::uniform_all_pairs_loads`].
+/// max and mean that skip enumeration entirely see
+/// [`crate::sweep::uniform_link_load`].
 pub fn all_pairs_loads(topo: &TofuD) -> LinkLoad {
     let n = topo.nodes();
     let grain = n.div_ceil(64).max(16);

@@ -22,12 +22,11 @@
 //! forward distance does not exceed the backward one), so these forms are
 //! **exact** — integer-identical to enumerating every route, which the
 //! tests and `tests/folded_table.rs` verify differentially. Total cost:
-//! `O(Σ ext³)` for the `W_d` tables plus `O(n)` for a dense fill — a
-//! full-Fugaku sweep in milliseconds instead of CPU-centuries.
+//! `O(Σ ext³)` for the `W_d` tables, independent of `n` — a full-Fugaku
+//! sweep in well under a millisecond instead of CPU-centuries.
 
-use crate::routing::LinkLoad;
 use crate::tofu::{TofuD, DIMS};
-use crate::topology::{NodeId, Topology};
+use crate::topology::Topology;
 
 /// Per-dimension port-crossing counts under uniform traffic:
 /// `counts[x * 2 + (dir > 0)]` is `W_d(x, s)`, and `pair_dist_sum` is
@@ -88,35 +87,6 @@ fn dim_port_loads(extent: usize, periodic: bool) -> DimPortLoads {
     }
 }
 
-/// Per-link traversal counts under uniform all-pairs traffic, by symmetry
-/// expansion: integer-identical to
-/// [`crate::routing::all_pairs_loads`] at `O(n)` instead of
-/// `O(n² · diameter)`.
-pub fn uniform_all_pairs_loads(topo: &TofuD) -> LinkLoad {
-    let n = topo.nodes();
-    let per_dim: Vec<DimPortLoads> = (0..DIMS)
-        .map(|d| dim_port_loads(topo.dims[d], topo.periodic[d]))
-        .collect();
-    let mut load = LinkLoad::new(n);
-    let mut c = [0usize; DIMS];
-    for u in 0..n {
-        for d in 0..DIMS {
-            let completions = (n / topo.dims[d]) as u64;
-            let w = &per_dim[d].counts;
-            let back = w[c[d] * 2] * completions;
-            let fwd = w[c[d] * 2 + 1] * completions;
-            if back > 0 {
-                load.add(NodeId(u), d, -1, back);
-            }
-            if fwd > 0 {
-                load.add(NodeId(u), d, 1, fwd);
-            }
-        }
-        topo.advance_coords(&mut c);
-    }
-    load
-}
-
 /// `(max, mean)` link load under uniform all-pairs traffic — the
 /// closed-form replacement for
 /// [`crate::routing::all_pairs_link_load`], usable at full-Fugaku scale.
@@ -124,9 +94,10 @@ pub fn uniform_all_pairs_loads(topo: &TofuD) -> LinkLoad {
 /// Each of the `n / ext_d` nodes at dim-`d` coordinate `x` carries the
 /// same port load `(n / ext_d) · W_d(x, s)`, so the max and mean over used
 /// links come from the per-dimension port counts in `O(Σ ext)`, without
-/// the `n · 12`-slot [`LinkLoad`] of [`uniform_all_pairs_loads`]. The
-/// integer sums and the final division are the ones
-/// [`LinkLoad::max_mean`] performs, so the result is bit-identical.
+/// an `n · 12`-slot per-link array (15.3 MB at Fugaku). The integer sums
+/// and the final division are the ones
+/// [`LinkLoad::max_mean`](crate::routing::LinkLoad::max_mean) performs, so
+/// the result is bit-identical.
 pub fn uniform_link_load(topo: &TofuD) -> (f64, f64) {
     let n = topo.nodes();
     let (mut max, mut sum, mut used) = (0u64, 0u64, 0u64);
@@ -174,6 +145,7 @@ mod tests {
     use super::*;
     use crate::placement;
     use crate::routing::all_pairs_loads;
+    use crate::topology::NodeId;
 
     fn shapes() -> Vec<TofuD> {
         vec![
@@ -188,15 +160,8 @@ mod tests {
     #[test]
     fn closed_form_loads_match_streamed_enumeration() {
         for t in shapes() {
-            let streamed = all_pairs_loads(&t);
-            assert_eq!(
-                uniform_all_pairs_loads(&t),
-                streamed,
-                "loads diverge on dims {:?}",
-                t.dims
-            );
             let (max, mean) = uniform_link_load(&t);
-            let (want_max, want_mean) = streamed.max_mean();
+            let (want_max, want_mean) = all_pairs_loads(&t).max_mean();
             assert_eq!(max.to_bits(), want_max.to_bits(), "max on {:?}", t.dims);
             assert_eq!(mean.to_bits(), want_mean.to_bits(), "mean on {:?}", t.dims);
         }

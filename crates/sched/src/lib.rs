@@ -10,7 +10,10 @@
 //! the TofuD torus, with selectable allocation policies. It quantifies
 //! what topology-awareness buys (allocation compactness under load) and
 //! reproduces the usability restriction (explicit node requests are
-//! rejected, as on the real machine).
+//! rejected, as on the real machine). An [`Allocation`] is a list of runs
+//! of consecutive node ids, and the allocator, the release path and the
+//! compactness fold all work run by run, never node by node, so replays
+//! scale to full Fugaku (158,976 nodes).
 
 //! ```
 //! use sched::{AllocationPolicy, Allocator, Scheduler, WorkloadSpec};

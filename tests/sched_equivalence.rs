@@ -2,8 +2,10 @@
 //! retained scan [`OracleAllocator`].
 //!
 //! The fast allocator replaces the oracle's O(n) free-array scans with
-//! boundary-tag run indexing, an eligibility bitmap, and a `(len, start)`
-//! best-fit set — but its contract is *pick identity*, not just equal
+//! boundary-tag run indexing, eligibility and summary bitmaps, and a
+//! best-fit index of exact-length bins for short runs beside an ordered
+//! set for long ones; it hands out runs of node ids where the oracle
+//! picks a node list. Its contract is *pick identity*, not just equal
 //! aggregates. These properties replay randomized workloads (with
 //! injected node failures and deliberately colliding submit times)
 //! through both implementations under every policy and demand identical
