@@ -67,7 +67,8 @@ pub trait NodePool {
     fn compactness(&self, allocation: &Allocation) -> f64;
 }
 
-/// Longest run the best-fit index keeps in an exact-length bin.
+/// Longest run the best-fit index keeps in an exact-length bin; at most
+/// 64, one bit of the `u64` non-empty mask per length.
 const SMALL: usize = 64;
 
 /// The free runs by length, for best-fit: the smallest run that fits,
@@ -142,7 +143,7 @@ impl RunIndex {
     fn longest(&self) -> usize {
         match self.long.last() {
             Some(&key) => (key >> 32) as usize,
-            None => 64 - self.nonempty.leading_zeros() as usize,
+            None => (u64::BITS - self.nonempty.leading_zeros()) as usize,
         }
     }
 }

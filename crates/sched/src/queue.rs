@@ -225,9 +225,8 @@ impl<A: NodePool> Scheduler<A> {
     }
 
     /// Whether finished jobs keep their allocations in [`JobState`]
-    /// (default `true`). Million-job replays disable this: the per-job run
-    /// lists are the dominant memory term at full-Fugaku scale, and the
-    /// aggregate stats never read them after release.
+    /// (default `true`). Million-job replays disable this: the aggregate
+    /// stats never read an allocation after its release.
     pub fn retain_allocations(mut self, keep: bool) -> Self {
         self.retain_allocations = keep;
         self
