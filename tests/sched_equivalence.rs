@@ -183,12 +183,19 @@ proptest! {
         let scale = mid_topo().nodes() / 192;
         let shapes = [
             (TofuD::cte_arm(), &POLICIES[..], requests_from(&plan), failures_from(&fails)),
-            (mid_topo(), &POLICIES[..2], scaled_requests(&plan, scale), scaled_failures(&fails, scale)),
+            (
+                mid_topo(),
+                &POLICIES[..2],
+                scaled_requests(&plan, scale),
+                scaled_failures(&fails, scale),
+            ),
         ];
         for (topo, policies, requests, failures) in shapes {
             for &policy in policies {
-                let fast = run_fast_on(topo.clone(), policy, backfill, requests.clone(), failures.clone());
-                let slow = run_oracle_on(topo.clone(), policy, backfill, requests.clone(), failures.clone());
+                let (r, f) = (requests.clone(), failures.clone());
+                let fast = run_fast_on(topo.clone(), policy, backfill, r, f);
+                let (r, f) = (requests.clone(), failures.clone());
+                let slow = run_oracle_on(topo.clone(), policy, backfill, r, f);
                 prop_assert_eq!(
                     &fast, &slow,
                     "policy {:?} diverged from the oracle on {} nodes", policy, topo.nodes()
