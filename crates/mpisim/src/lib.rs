@@ -20,8 +20,11 @@
 //!   breakdowns and a text Gantt strip.
 //!
 //! A compute step prices its chunk once per call and a halo prices each
-//! inter-node route once per node pair and size, so the per-rank cost left
-//! is mostly the lognormal imbalance draw, then the halo's peer loop.
+//! inter-node route once per node pair and size. A compute step draws its
+//! imbalance uniforms at once but finishes the lognormal draw only where a
+//! clock is read: a blocking step finishes it just for the ranks that could
+//! be the latest. The per-rank cost left is mostly drawing the uniforms,
+//! then the halo's peer loop.
 
 //! ```
 //! use arch::{compiler::Compiler, cost::KernelProfile, machines::cte_arm};

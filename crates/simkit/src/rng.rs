@@ -79,12 +79,26 @@ impl Pcg32 {
 
     /// Standard normal deviate via the Box–Muller transform.
     pub fn normal(&mut self) -> f64 {
-        // Draw until u is strictly positive so ln(u) is finite.
+        Self::normal_from(self.normal_uniforms())
+    }
+
+    /// The two uniforms [`Self::normal`] consumes, drawn in the same order:
+    /// `u` is redrawn until it exceeds [`f64::MIN_POSITIVE`], so `ln(u)` is
+    /// finite. A caller may keep them and finish the deviate later, or
+    /// never: the generator's stream is the same either way.
+    #[inline]
+    pub fn normal_uniforms(&mut self) -> (f64, f64) {
         let mut u = self.next_f64();
         while u <= f64::MIN_POSITIVE {
             u = self.next_f64();
         }
-        let v = self.next_f64();
+        (u, self.next_f64())
+    }
+
+    /// The Box–Muller transform of a [`Self::normal_uniforms`] pair. Its
+    /// magnitude is at most `sqrt(-2 ln u)`, whatever `v` is.
+    #[inline]
+    pub fn normal_from((u, v): (f64, f64)) -> f64 {
         (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
     }
 
@@ -184,6 +198,19 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    #[test]
+    fn split_draw_matches_normal_bit_for_bit() {
+        let mut whole = Pcg32::seeded(10);
+        let mut split = Pcg32::seeded(10);
+        for _ in 0..10_000 {
+            let (u, v) = split.normal_uniforms();
+            let z = Pcg32::normal_from((u, v));
+            assert_eq!(whole.normal().to_bits(), z.to_bits());
+            assert!(z.abs() <= (-2.0 * u.ln()).sqrt());
+        }
+        assert_eq!(whole.next_u32(), split.next_u32(), "streams stay aligned");
     }
 
     #[test]
