@@ -204,6 +204,36 @@ impl WaitIndex {
     }
 }
 
+/// The running jobs, so a node failure searches only them for the job that
+/// holds the node: their indices in no particular order, plus each job's
+/// position in that list for O(1) removal.
+struct Running {
+    jobs: Vec<usize>,
+    slot: Vec<u32>,
+}
+
+impl Running {
+    fn new(jobs: usize) -> Self {
+        Self {
+            jobs: Vec::new(),
+            slot: vec![0; jobs],
+        }
+    }
+
+    fn insert(&mut self, idx: usize) {
+        self.slot[idx] = self.jobs.len() as u32;
+        self.jobs.push(idx);
+    }
+
+    fn remove(&mut self, idx: usize) {
+        let at = self.slot[idx] as usize;
+        self.jobs.swap_remove(at);
+        if let Some(&moved) = self.jobs.get(at) {
+            self.slot[moved] = at as u32;
+        }
+    }
+}
+
 /// A FCFS + EASY-backfill scheduler over an allocator.
 pub struct Scheduler<A: NodePool> {
     allocator: A,
@@ -301,6 +331,7 @@ impl<A: NodePool> Scheduler<A> {
         // requeues keep original submit order, so the waiting set never
         // needs more than the index to order itself.
         let mut waiting = WaitIndex::new(jobs);
+        let mut running = Running::new(jobs);
         let mut epochs: Vec<u64> = vec![0; jobs];
         // Failures enter the heap before any completion, so at equal times
         // the order is submission, failure, completion — the enqueue order
@@ -341,6 +372,7 @@ impl<A: NodePool> Scheduler<A> {
                         // Stale completion of a run a node failure killed.
                         continue;
                     }
+                    running.remove(idx);
                     let alloc = std::mem::take(&mut self.jobs[idx].allocation);
                     busy_node_time += alloc.len() as f64 * self.jobs[idx].request.duration.value();
                     self.allocator.release(&alloc);
@@ -353,13 +385,12 @@ impl<A: NodePool> Scheduler<A> {
                     let was_allocated = self.allocator.fail_node(node);
                     failed_nodes += 1;
                     if was_allocated {
-                        let idx = self
+                        let idx = *running
                             .jobs
                             .iter()
-                            .position(|j| {
-                                j.start.is_some() && j.end.is_none() && j.allocation.contains(node)
-                            })
+                            .find(|&&i| self.jobs[i].allocation.contains(node))
                             .expect("an allocated node belongs to a running job");
+                        running.remove(idx);
                         // Kill: bill the partial work, free the nodes,
                         // invalidate the pending Finish, requeue in FCFS
                         // order by original submission (= index order).
@@ -411,6 +442,7 @@ impl<A: NodePool> Scheduler<A> {
                 );
                 self.jobs[idx].allocation = allocation;
                 waiting.remove(idx);
+                running.insert(idx);
             }
         }
 
@@ -662,6 +694,38 @@ mod tests {
         assert_eq!(jobs[0].start, None);
         assert_eq!(jobs[1].end, Some(Time::seconds(11.0)));
         assert_eq!(stats.abandoned, 1);
+    }
+
+    #[test]
+    fn late_failure_kills_exactly_the_one_running_holder() {
+        // 400 one-node jobs, about ten at a time, run and finish (each
+        // keeps its allocation); then two 8-node jobs run side by side and
+        // a node of the second fails mid-run. Only that job is killed, and
+        // the finished jobs that once held the node are left alone.
+        let mut requests: Vec<JobRequest> = (0..400).map(|i| job(i, 1, 10.0, i as f64)).collect();
+        requests.push(job(400, 8, 100.0, 1000.0));
+        requests.push(job(401, 8, 100.0, 1000.0));
+        let run = |failures| {
+            scheduler(AllocationPolicy::FirstFit, false)
+                .run_with_failures(requests.clone(), failures)
+        };
+        let (clean, _) = run(vec![]);
+        let node = clean[401].allocation.nodes().next().expect("8 nodes");
+        assert!(
+            clean[..400].iter().any(|j| j.allocation.contains(node)),
+            "a finished job once held the node"
+        );
+        let (jobs, stats) = run(vec![fail(node.index(), 1050.0)]);
+        assert_eq!(stats.requeued, 1);
+        assert_eq!(jobs[401].requeues, 1);
+        assert_eq!(
+            jobs[401].end,
+            Some(Time::seconds(1150.0)),
+            "restarts at once"
+        );
+        assert!(!jobs[401].allocation.contains(node));
+        assert!(jobs[..401].iter().all(|j| j.requeues == 0));
+        assert_eq!(jobs[400].end, Some(Time::seconds(1100.0)));
     }
 
     #[test]
