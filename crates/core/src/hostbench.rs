@@ -5,10 +5,11 @@
 //! rewritten parallel runtime actually delivers on the machine running the
 //! binary: per-kernel GB/s or GFLOP/s with 1 worker thread and with the
 //! full configured pool, plus the resulting speedup, the interconnect fast
-//! path and the structure-aware HPCG engine. The snapshot also carries the
-//! deterministic CTE-Arm cache-model predictions (`cachemodel`). The
-//! output, rendered through `json::Writer`, is the committed
-//! `BENCH_host.json` snapshot (regenerate it with
+//! path, the structure-aware HPCG engine and the `mpisim` layer under the
+//! Alya study (the app workload that dominates a `regen` pass). The
+//! snapshot also carries the deterministic CTE-Arm cache-model predictions
+//! (`cachemodel`). The output, rendered through `json::Writer`, is the
+//! committed `BENCH_host.json` snapshot (regenerate it with
 //! `cluster-eval bench-all --json > BENCH_host.json` — the recorded
 //! `host.detected_cores` field says what hardware a snapshot came from, so
 //! numbers from a 1-core CI container and a 48-core A64FX node are never
@@ -28,6 +29,7 @@
 
 use crate::cachemodel::predict_all;
 use crate::json::Writer;
+use apps::alya::Alya;
 use arch::cachesim::Prediction;
 use arch::cost::{
     spmv_csr_bytes, spmv_csr_moved_bytes, spmv_stencil_bytes, spmv_stencil_moved_bytes,
@@ -46,6 +48,7 @@ use kernels::mg::MgHierarchy;
 use kernels::stencil::OceanGrid;
 use kernels::stencil_matrix::StencilMatrix;
 use kernels::stream::{StreamArrays, StreamKernel};
+use mpisim::job::thread_noise_counts;
 use std::time::Instant;
 
 /// Minimum wall time a calibrated timed batch should cover. Long enough
@@ -187,6 +190,21 @@ pub struct HpcgBench {
     pub vcycle_ms_nt: f64,
 }
 
+/// The `mpisim` layer under Alya's Fig. 8 sweep: wall time on one thread
+/// and the exact work behind it.
+#[derive(Debug, Clone)]
+pub struct MpisimBench {
+    /// The runs timed.
+    pub workload: String,
+    /// Wall time of the whole sweep on one worker thread, in ms.
+    pub wall_ms_1t: f64,
+    /// Rank-compute steps across the sweep (ranks × compute calls).
+    pub rank_steps: u64,
+    /// Summed [`mpisim::Job::noise_counts`] of the sweep: rank steps whose
+    /// imbalance uniforms were drawn, and those finished in full.
+    pub noise_counts: (u64, u64),
+}
+
 /// The full host snapshot.
 #[derive(Debug, Clone)]
 pub struct HostBench {
@@ -204,6 +222,8 @@ pub struct HostBench {
     pub network: NetworkBench,
     /// Structure-aware HPCG engine measurements.
     pub hpcg: HpcgBench,
+    /// The `mpisim` layer under Alya's Fig. 8 sweep.
+    pub mpisim: MpisimBench,
     /// Cache-model predictions for every `cachemodel` registry kernel on
     /// CTE-Arm. Deterministic — no host measurement involved.
     pub cache: Vec<Prediction>,
@@ -531,6 +551,34 @@ pub fn run_kernel_benches(pool_threads: usize) -> Vec<KernelBench> {
         .collect()
 }
 
+/// Time Alya's Fig. 8 points (uncached, one after another on one worker
+/// thread) and count their rank steps and imbalance-noise work.
+pub fn run_mpisim_bench() -> MpisimBench {
+    let alya = Alya::test_case_b();
+    let points = alya.sweep_points();
+    let sweep = || {
+        for &(cluster, nodes) in &points {
+            std::hint::black_box(alya.simulate(cluster, nodes));
+        }
+    };
+    let (drawn, evaluated) = thread_noise_counts();
+    sweep();
+    let (drawn_after, evaluated_after) = thread_noise_counts();
+    // Each run is 48 ranks per node over `steps` time steps of one
+    // assembly compute and two computes per solver iteration.
+    let computes = alya.steps * (1 + 2 * alya.solver_iters);
+    let nodes: usize = points.iter().map(|&(_, n)| n).sum();
+    MpisimBench {
+        workload: format!(
+            "Alya fig8: {} points, {nodes} nodes x 48 ranks, {computes} computes per run",
+            points.len()
+        ),
+        wall_ms_1t: with_pool(1, || calibrated_best(sweep)) * 1e3,
+        rank_steps: (nodes * 48 * computes) as u64,
+        noise_counts: (drawn_after - drawn, evaluated_after - evaluated),
+    }
+}
+
 /// Measure every kernel at 1 thread and at the configured pool width.
 pub fn run_host_bench() -> HostBench {
     let pool_threads = rayon::current_num_threads();
@@ -551,6 +599,7 @@ pub fn run_host_bench() -> HostBench {
         kernels: run_kernel_benches(pool_threads),
         network: run_network_bench(pool_threads),
         hpcg: run_hpcg_bench(pool_threads),
+        mpisim: run_mpisim_bench(),
         cache: cte_arm_cache(),
     }
 }
@@ -649,6 +698,14 @@ impl HostBench {
                     .num("sweep_10k_closed_ms", nw.sweep_10k_closed_ms, 2)
                     .num("fugaku_sweep_closed_ms", nw.fugaku_sweep_closed_ms, 2);
             });
+            let mp = &self.mpisim;
+            w.object("mpisim", |w| {
+                w.str("workload", &mp.workload)
+                    .num("wall_ms_1_thread", mp.wall_ms_1t, 1)
+                    .int("rank_steps", mp.rank_steps)
+                    .int("noise_drawn", mp.noise_counts.0)
+                    .int("noise_evaluated", mp.noise_counts.1);
+            });
             w.array("cache", &self.cache, |w, p| {
                 w.str("kernel", &p.kernel)
                     .int("dram_bytes", p.sim.dram_bytes())
@@ -731,6 +788,12 @@ mod tests {
                 vcycle_ms_1t: 40.0,
                 vcycle_ms_nt: 10.0,
             },
+            mpisim: MpisimBench {
+                workload: "Alya fig8: 13 points".into(),
+                wall_ms_1t: 61.27,
+                rank_steps: 4_518_336,
+                noise_counts: (4_518_336, 423_784),
+            },
             cache: vec![],
         }
     }
@@ -780,6 +843,25 @@ mod tests {
         assert_eq!(field(&hb, "host", "rayon_num_threads_env"), Value::Null);
         assert_eq!(field(&hb, "kernels", "speedup"), Value::Num(3.0));
         assert_eq!(field(&hb, "hpcg", "vcycle_speedup"), Value::Num(4.0));
+    }
+
+    #[test]
+    fn mpisim_section_has_wall_time_and_exact_counts() {
+        for threads in [1, 4] {
+            let hb = sample(threads);
+            let mpisim = |key| field(&hb, "mpisim", key);
+            assert_eq!(mpisim("workload").as_str(), Some("Alya fig8: 13 points"));
+            // One worker whatever the pool, so no N-thread column.
+            assert_eq!(mpisim("wall_ms_1_thread"), Value::Num(61.3));
+            assert_eq!(mpisim("rank_steps"), Value::Num(4_518_336.0));
+            assert_eq!(mpisim("noise_drawn"), Value::Num(4_518_336.0));
+            assert_eq!(mpisim("noise_evaluated"), Value::Num(423_784.0));
+            let j = hb.to_json();
+            let section = &j[j.find("\"mpisim\": {").expect("section")..];
+            let section = &section[..section.find('}').expect("closed")];
+            let keys = section.matches("\": ").count();
+            assert_eq!(keys, 6, "the section key and five columns:\n{section}");
+        }
     }
 
     #[test]
