@@ -170,7 +170,6 @@ pub fn with_job<R>(
             (0..nodes).map(NodeId).collect(),
             ranks_per_node,
             threads_per_rank,
-            m.memory.n_domains,
             m.cores_per_node(),
         )
     };

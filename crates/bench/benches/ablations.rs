@@ -29,7 +29,6 @@ fn solver_loop(algo: CollectiveAlgo) -> f64 {
         (0..64).map(NodeId).collect(),
         48,
         1,
-        machine.memory.n_domains,
         machine.cores_per_node(),
     );
     let mut job = Job::new(&machine, &compiler, &net, layout, 1).with_collective_algo(algo);
@@ -173,7 +172,6 @@ fn stencil_step(overlap: bool) -> f64 {
         (0..16).map(NodeId).collect(),
         4,
         12,
-        machine.memory.n_domains,
         machine.cores_per_node(),
     );
     let mut job = Job::new(&machine, &compiler, &net, layout, 1).with_imbalance(0.0);
@@ -218,13 +216,7 @@ fn solver_with_allocation(nodes: Vec<NodeId>) -> f64 {
     let machine = cte_arm();
     let compiler = Compiler::gnu_sve();
     let net = Network::new(TofuD::cte_arm(), LinkModel::tofud());
-    let layout = JobLayout::new(
-        nodes,
-        48,
-        1,
-        machine.memory.n_domains,
-        machine.cores_per_node(),
-    );
+    let layout = JobLayout::new(nodes, 48, 1, machine.cores_per_node());
     let mut job = Job::new(&machine, &compiler, &net, layout, 1).with_imbalance(0.0);
     let profile = KernelProfile::dp("iter", 5e5, 5e4).with_vectorizable(0.3);
     for _ in 0..100 {

@@ -14,7 +14,7 @@
 
 use crate::engine::{fan_out, Ctx};
 use crate::experiments::{Artifact, Experiment};
-use apps::common::{Cluster, JobHandle};
+use apps::common::{with_job, Cluster, JobHandle};
 use arch::compiler::Compiler;
 use arch::cost::{CostModel, KernelProfile};
 use arch::fugaku::{fugaku, FUGAKU_NODES};
@@ -277,7 +277,6 @@ fn traced_step(cluster: Cluster, app: &str) -> (f64, f64) {
         (0..nodes).map(NodeId).collect(),
         48,
         1,
-        machine.memory.n_domains,
         machine.cores_per_node(),
     );
     let run = |job: &mut dyn JobHandle| {
@@ -380,37 +379,16 @@ const WEAK_NODES: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 /// Time of three steps of the weak-scaling stencil (fixed work per rank)
 /// on `nodes` nodes of `cluster`.
 fn weak_time(cluster: Cluster, nodes: usize) -> f64 {
-    let machine = cluster.machine();
-    let compiler = cluster.app_compiler(false);
     let per_rank =
         KernelProfile::dp("stencil", 50_000.0 * 2750.0, 50_000.0 * 1200.0).with_vectorizable(0.3);
-    let layout = JobLayout::new(
-        (0..nodes).map(NodeId).collect(),
-        48,
-        1,
-        machine.memory.n_domains,
-        machine.cores_per_node(),
-    );
-    let body = |job: &mut dyn JobHandle| {
+    with_job(cluster, nodes, 48, 1, false, 3, |job| {
         for _ in 0..3 {
             job.compute(&per_rank);
             job.halo(4, Bytes::kib(100.0));
             job.allreduce(Bytes::new(8.0));
         }
         job.elapsed().value()
-    };
-    match cluster {
-        Cluster::CteArm => {
-            let net = Network::new(TofuD::cte_arm(), LinkModel::tofud());
-            let mut job = Job::new(&machine, &compiler, &net, layout, 3);
-            body(&mut job)
-        }
-        Cluster::MareNostrum4 => {
-            let net = Network::new(FatTree::marenostrum4(), LinkModel::omnipath());
-            let mut job = Job::new(&machine, &compiler, &net, layout, 3);
-            body(&mut job)
-        }
-    }
+    })
 }
 
 fn ext_weak(_ctx: &Ctx) -> Artifact {

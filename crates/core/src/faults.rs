@@ -268,15 +268,7 @@ fn job_slowdown(plan: &FaultPlan, faulty_net: &Network<TofuD>) -> f64 {
 
     let machine = cte_arm();
     let compiler = Compiler::gnu_sve();
-    let layout = || {
-        JobLayout::new(
-            picked.clone(),
-            4,
-            12,
-            machine.memory.n_domains,
-            machine.cores_per_node(),
-        )
-    };
+    let layout = || JobLayout::new(picked.clone(), 4, 12, machine.cores_per_node());
     let script = |net: &Network<TofuD>, jf: &JobFaults| {
         let mut job = Job::new(&machine, &compiler, net, layout(), 5)
             .with_imbalance(0.0)

@@ -6,11 +6,7 @@
 //!
 //! | collective | binomial tree | ring |
 //! |---|---|---|
-//! | barrier    | `⌈log₂ p⌉ · ptp(0)` | — |
-//! | bcast      | `⌈log₂ p⌉ · ptp(n)` | `(p−1) · ptp(n/p)` |
-//! | reduce     | `⌈log₂ p⌉ · ptp(n)` | `(p−1) · ptp(n/p)` |
-//! | allreduce  | reduce + bcast | `2(p−1) · ptp(n/p)` |
-//! | allgather  | `⌈log₂ p⌉ · ptp(n·p/2)` (recursive doubling) | `(p−1) · ptp(n)` |
+//! | allreduce  | `2⌈log₂ p⌉ · ptp(n)` (reduce + bcast) | `2(p−1) · ptp(n/p)` |
 //! | alltoall   | `(p−1) · ptp(n)` (pairwise exchange) | same |
 //!
 //! Real MPI libraries switch algorithm by message size; [`CollectiveAlgo::Auto`]
@@ -18,7 +14,7 @@
 
 use simkit::units::{Bytes, Time};
 
-/// Inter-node collective algorithm selection.
+/// Allreduce algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveAlgo {
     /// Latency-optimal binomial tree / recursive doubling.
@@ -52,29 +48,6 @@ fn ceil_log2(p: usize) -> f64 {
     }
 }
 
-/// Barrier over `p` participants.
-pub fn barrier(p: usize, ptp0: Time) -> Time {
-    ptp0 * ceil_log2(p)
-}
-
-/// Broadcast of `bytes` from one root to `p` participants.
-pub fn bcast(p: usize, bytes: Bytes, algo: CollectiveAlgo, ptp: impl Fn(Bytes) -> Time) -> Time {
-    if p <= 1 {
-        return Time::ZERO;
-    }
-    match algo.resolve(bytes) {
-        CollectiveAlgo::BinomialTree => ptp(bytes) * ceil_log2(p),
-        CollectiveAlgo::Ring => ptp(bytes / p as f64) * (p - 1) as f64,
-        CollectiveAlgo::Auto => unreachable!("resolved above"),
-    }
-}
-
-/// Reduction of `bytes` from `p` participants to one root.
-pub fn reduce(p: usize, bytes: Bytes, algo: CollectiveAlgo, ptp: impl Fn(Bytes) -> Time) -> Time {
-    // Same communication structure as bcast, reversed.
-    bcast(p, bytes, algo, ptp)
-}
-
 /// Allreduce of `bytes` across `p` participants.
 pub fn allreduce(
     p: usize,
@@ -93,33 +66,6 @@ pub fn allreduce(
     }
 }
 
-/// Allgather where each participant contributes `bytes`.
-pub fn allgather(
-    p: usize,
-    bytes: Bytes,
-    algo: CollectiveAlgo,
-    ptp: impl Fn(Bytes) -> Time,
-) -> Time {
-    if p <= 1 {
-        return Time::ZERO;
-    }
-    match algo.resolve(bytes) {
-        CollectiveAlgo::BinomialTree => {
-            // Recursive doubling: log p rounds, doubling payload; total
-            // payload moved ≈ n·(p−1), dominated by the last round n·p/2.
-            let rounds = ceil_log2(p) as usize;
-            let mut t = Time::ZERO;
-            for r in 0..rounds {
-                let chunk = bytes * (1 << r) as f64;
-                t += ptp(chunk);
-            }
-            t
-        }
-        CollectiveAlgo::Ring => ptp(bytes) * (p - 1) as f64,
-        CollectiveAlgo::Auto => unreachable!("resolved above"),
-    }
-}
-
 /// All-to-all personalized exchange where each participant sends `bytes` to
 /// every other (pairwise-exchange algorithm, `p−1` rounds).
 pub fn alltoall(p: usize, bytes: Bytes, ptp: impl Fn(Bytes) -> Time) -> Time {
@@ -127,38 +73,6 @@ pub fn alltoall(p: usize, bytes: Bytes, ptp: impl Fn(Bytes) -> Time) -> Time {
         return Time::ZERO;
     }
     ptp(bytes) * (p - 1) as f64
-}
-
-/// Gather of `bytes` per participant to one root. Binomial tree with
-/// doubling payloads: the root's last reception carries `n·p/2`.
-pub fn gather(p: usize, bytes: Bytes, ptp: impl Fn(Bytes) -> Time) -> Time {
-    if p <= 1 {
-        return Time::ZERO;
-    }
-    let rounds = ceil_log2(p) as usize;
-    let mut t = Time::ZERO;
-    for r in 0..rounds {
-        t += ptp(bytes * (1 << r) as f64);
-    }
-    t
-}
-
-/// Reduce-scatter of a `bytes`-per-participant contribution: the ring
-/// pass of Rabenseifner's allreduce, `p−1` rounds of `n/p` chunks.
-pub fn reduce_scatter(p: usize, bytes: Bytes, ptp: impl Fn(Bytes) -> Time) -> Time {
-    if p <= 1 {
-        return Time::ZERO;
-    }
-    ptp(bytes / p as f64) * (p - 1) as f64
-}
-
-/// Inclusive prefix scan: `⌈log₂ p⌉` rounds of full payloads
-/// (Hillis–Steele).
-pub fn scan(p: usize, bytes: Bytes, ptp: impl Fn(Bytes) -> Time) -> Time {
-    if p <= 1 {
-        return Time::ZERO;
-    }
-    ptp(bytes) * ceil_log2(p)
 }
 
 #[cfg(test)]
@@ -179,26 +93,10 @@ mod tests {
     }
 
     #[test]
-    fn barrier_scales_logarithmically() {
-        let t0 = Time::micros(1.0);
-        assert_eq!(barrier(1, t0), Time::ZERO);
-        let t192 = barrier(192, t0);
-        assert!((t192.as_micros() - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn singleton_collectives_are_free() {
         let ptp = linear_ptp(1.0, 6.8);
         assert_eq!(
-            bcast(1, Bytes::kib(4.0), CollectiveAlgo::Auto, &ptp),
-            Time::ZERO
-        );
-        assert_eq!(
             allreduce(1, Bytes::kib(4.0), CollectiveAlgo::Auto, &ptp),
-            Time::ZERO
-        );
-        assert_eq!(
-            allgather(1, Bytes::kib(4.0), CollectiveAlgo::Auto, &ptp),
             Time::ZERO
         );
         assert_eq!(alltoall(1, Bytes::kib(4.0), &ptp), Time::ZERO);
@@ -232,54 +130,6 @@ mod tests {
             allreduce(p, large, CollectiveAlgo::Auto, &ptp),
             allreduce(p, large, CollectiveAlgo::Ring, &ptp)
         );
-    }
-
-    #[test]
-    fn allgather_recursive_doubling_moves_full_payload() {
-        // With a pure-bandwidth ptp, recursive doubling should cost
-        // (p−1)·n/β — the same total bytes as the ring.
-        let ptp = linear_ptp(0.0, 1.0);
-        let p = 8;
-        let n = Bytes::mib(1.0);
-        let rd = allgather(p, n, CollectiveAlgo::BinomialTree, &ptp);
-        let ring = allgather(p, n, CollectiveAlgo::Ring, &ptp);
-        assert!((rd.value() - ring.value()).abs() / ring.value() < 1e-9);
-    }
-
-    #[test]
-    fn gather_cost_matches_recursive_doubling_volume() {
-        // Pure-bandwidth ptp: gather moves (p−1)·n total.
-        let ptp = linear_ptp(0.0, 1.0);
-        let p = 16;
-        let n = Bytes::mib(1.0);
-        let t = gather(p, n, &ptp);
-        let expected = (p - 1) as f64 * n.value() / 1e9;
-        assert!((t.value() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reduce_scatter_plus_allgather_equals_ring_allreduce() {
-        let ptp = linear_ptp(1.0, 6.8);
-        let p = 12;
-        let n = Bytes::kib(512.0);
-        let composed = reduce_scatter(p, n, &ptp)
-            + allgather(
-                p,
-                Bytes::new(n.value() / p as f64),
-                CollectiveAlgo::Ring,
-                &ptp,
-            );
-        let direct = allreduce(p, n, CollectiveAlgo::Ring, &ptp);
-        assert!((composed.value() - direct.value()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scan_scales_logarithmically() {
-        let ptp = linear_ptp(1.0, 6.8);
-        let t16 = scan(16, Bytes::new(8.0), &ptp);
-        let t256 = scan(256, Bytes::new(8.0), &ptp);
-        assert!((t256.value() / t16.value() - 2.0).abs() < 1e-9);
-        assert_eq!(scan(1, Bytes::new(8.0), &ptp), Time::ZERO);
     }
 
     #[test]

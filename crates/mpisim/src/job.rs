@@ -149,7 +149,8 @@ impl<'a, T: Topology> Job<'a, T> {
         (a, b)
     }
 
-    /// Select the inter-node collective algorithm (default: size-based).
+    /// Select the allreduce algorithm of both collective stages (default:
+    /// size-based).
     pub fn with_collective_algo(mut self, algo: CollectiveAlgo) -> Self {
         self.algo = algo;
         self
@@ -399,7 +400,7 @@ impl<'a, T: Topology> Job<'a, T> {
         }
         if let (Some(starts), Some(trace)) = (starts, self.trace.as_mut()) {
             for (rank, (&s, c)) in starts.iter().zip(&self.clocks).enumerate() {
-                trace.record(rank, Activity::Compute, s, c.now(), &per_rank.name);
+                trace.record(rank, Activity::Compute, s, c.now());
             }
         }
     }
@@ -428,7 +429,7 @@ impl<'a, T: Topology> Job<'a, T> {
     /// Pending compute steps are not applied rank by rank: only the latest
     /// clock matters here, and [`Job::elapsed`] finds it while finishing
     /// the noise of few ranks.
-    fn blocking(&mut self, cost: Time, activity: Activity, label: &str) {
+    fn blocking(&mut self, cost: Time, activity: Activity) {
         let starts = self.trace.is_some().then(|| self.rank_times());
         let latest = self.elapsed();
         // Every clock, pending steps included, is at or below `latest`, so
@@ -440,124 +441,30 @@ impl<'a, T: Topology> Job<'a, T> {
         self.synced = Some(clock.now());
         if let (Some(starts), Some(trace)) = (starts, self.trace.as_mut()) {
             for (rank, &s) in starts.iter().enumerate() {
-                trace.record(rank, activity, s, clock.now(), label);
+                trace.record(rank, activity, s, clock.now());
             }
         }
     }
 
-    /// Hierarchical collective cost: intra-node stage over the ranks of one
-    /// node, inter-node stage over node leaders.
-    fn hierarchical_cost(
-        &self,
-        bytes: Bytes,
-        intra_f: impl Fn(usize, Bytes, &dyn Fn(Bytes) -> Time) -> Time,
-        inter_f: impl Fn(usize, Bytes, &dyn Fn(Bytes) -> Time) -> Time,
-    ) -> Time {
-        let rpn = self.layout.ranks_per_node;
-        let nodes = self.layout.n_nodes();
-        let intra_ptp = |b: Bytes| self.intra_node_ptp(b);
-        let inter_ptp = |b: Bytes| self.inter_node_ptp(b);
-        intra_f(rpn, bytes, &intra_ptp) + inter_f(nodes, bytes, &inter_ptp)
-    }
-
-    /// MPI_Barrier over all ranks.
-    pub fn barrier(&mut self) {
-        let rpn = self.layout.ranks_per_node;
-        let nodes = self.layout.n_nodes();
-        let cost = collectives::barrier(rpn, self.intra_node_ptp(Bytes::ZERO))
-            + collectives::barrier(nodes, self.inter_node_ptp(Bytes::ZERO));
-        self.blocking(cost, Activity::Collective, "barrier");
-    }
-
-    /// MPI_Allreduce of `bytes` per rank.
+    /// MPI_Allreduce of `bytes` per rank: an intra-node stage over the ranks
+    /// of one node, then an inter-node stage over the node leaders.
     pub fn allreduce(&mut self, bytes: Bytes) {
-        let algo = self.algo;
-        let cost = self.hierarchical_cost(
-            bytes,
-            |p, b, ptp| collectives::allreduce(p, b, algo, ptp),
-            |p, b, ptp| collectives::allreduce(p, b, algo, ptp),
-        );
-        self.blocking(cost, Activity::Collective, "allreduce");
+        let (rpn, nodes, algo) = (self.layout.ranks_per_node, self.layout.n_nodes(), self.algo);
+        let cost = collectives::allreduce(rpn, bytes, algo, |b| self.intra_node_ptp(b))
+            + collectives::allreduce(nodes, bytes, algo, |b| self.inter_node_ptp(b));
+        self.blocking(cost, Activity::Collective);
     }
 
-    /// MPI_Bcast of `bytes` from rank 0.
-    pub fn bcast(&mut self, bytes: Bytes) {
-        let algo = self.algo;
-        let cost = self.hierarchical_cost(
-            bytes,
-            |p, b, ptp| collectives::bcast(p, b, algo, ptp),
-            |p, b, ptp| collectives::bcast(p, b, algo, ptp),
-        );
-        self.blocking(cost, Activity::Collective, "bcast");
-    }
-
-    /// MPI_Reduce of `bytes` to rank 0.
-    pub fn reduce(&mut self, bytes: Bytes) {
-        let algo = self.algo;
-        let cost = self.hierarchical_cost(
-            bytes,
-            |p, b, ptp| collectives::reduce(p, b, algo, ptp),
-            |p, b, ptp| collectives::reduce(p, b, algo, ptp),
-        );
-        self.blocking(cost, Activity::Collective, "reduce");
-    }
-
-    /// MPI_Allgather where each rank contributes `bytes`.
-    pub fn allgather(&mut self, bytes: Bytes) {
-        let algo = self.algo;
-        let rpn = self.layout.ranks_per_node;
-        let cost = self.hierarchical_cost(
-            bytes,
-            |p, b, ptp| collectives::allgather(p, b, algo, ptp),
-            // Node leaders carry their node's aggregated contribution.
-            |p, b, ptp| collectives::allgather(p, b * rpn as f64, algo, ptp),
-        );
-        self.blocking(cost, Activity::Collective, "allgather");
-    }
-
-    /// MPI_Alltoall where each rank sends `bytes` to every other rank.
+    /// MPI_Alltoall where each rank sends `bytes` to every other rank, in
+    /// the same two stages as [`Job::allreduce`].
     pub fn alltoall(&mut self, bytes: Bytes) {
-        let rpn = self.layout.ranks_per_node;
-        let cost = self.hierarchical_cost(
-            bytes,
-            |p, b, ptp| collectives::alltoall(p, b, ptp),
-            // Inter-node traffic: each node exchanges rpn² rank-pair
-            // payloads with every other node.
-            |p, b, ptp| collectives::alltoall(p, b * (rpn * rpn) as f64, ptp),
-        );
-        self.blocking(cost, Activity::Collective, "alltoall");
-    }
-
-    /// MPI_Gather of `bytes` per rank to rank 0.
-    pub fn gather(&mut self, bytes: Bytes) {
-        let rpn = self.layout.ranks_per_node;
-        let cost = self.hierarchical_cost(
-            bytes,
-            |p, b, ptp| collectives::gather(p, b, ptp),
-            // Node leaders forward their node's aggregate.
-            |p, b, ptp| collectives::gather(p, b * rpn as f64, ptp),
-        );
-        self.blocking(cost, Activity::Collective, "gather");
-    }
-
-    /// MPI_Reduce_scatter of `bytes` per rank.
-    pub fn reduce_scatter(&mut self, bytes: Bytes) {
-        let cost = self.hierarchical_cost(
-            bytes,
-            |p, b, ptp| collectives::reduce_scatter(p, b, ptp),
-            |p, b, ptp| collectives::reduce_scatter(p, b, ptp),
-        );
-        self.blocking(cost, Activity::Collective, "reduce_scatter");
-    }
-
-    /// MPI_Scan (inclusive prefix) of `bytes` per rank.
-    pub fn scan(&mut self, bytes: Bytes) {
-        let cost = self.hierarchical_cost(
-            bytes,
-            |p, b, ptp| collectives::scan(p, b, ptp),
-            |p, b, ptp| collectives::scan(p, b, ptp),
-        );
-        self.blocking(cost, Activity::Collective, "scan");
+        let (rpn, nodes) = (self.layout.ranks_per_node, self.layout.n_nodes());
+        // Inter-node traffic: each node exchanges rpn² rank-pair payloads
+        // with every other node.
+        let node_pair_bytes = bytes * (rpn * rpn) as f64;
+        let cost = collectives::alltoall(rpn, bytes, |b| self.intra_node_ptp(b))
+            + collectives::alltoall(nodes, node_pair_bytes, |b| self.inter_node_ptp(b));
+        self.blocking(cost, Activity::Collective);
     }
 
     /// Paired MPI_Sendrecv between two ranks: both clocks meet, then pay the
@@ -580,8 +487,8 @@ impl<'a, T: Topology> Job<'a, T> {
         self.clocks[a].advance_to(end);
         self.clocks[b].advance_to(end);
         if let Some(trace) = self.trace.as_mut() {
-            trace.record(a, Activity::PointToPoint, sa, end, "sendrecv");
-            trace.record(b, Activity::PointToPoint, sb, end, "sendrecv");
+            trace.record(a, Activity::PointToPoint, sa, end);
+            trace.record(b, Activity::PointToPoint, sb, end);
         }
     }
 
@@ -660,7 +567,7 @@ impl<'a, T: Topology> Job<'a, T> {
             if let Some(trace) = self.trace.as_mut() {
                 let end = start.max(done);
                 if end > start {
-                    trace.record(rank, Activity::PointToPoint, start, end, "halo-wait");
+                    trace.record(rank, Activity::PointToPoint, start, end);
                 }
             }
         }
@@ -697,7 +604,7 @@ impl<'a, T: Topology> Job<'a, T> {
     /// filesystem of the given sustained bandwidth (used for WRF's hourly
     /// frames). All ranks block until the write drains.
     pub fn parallel_write(&mut self, total_bytes: Bytes, fs_bandwidth: Bandwidth) {
-        self.blocking(total_bytes / fs_bandwidth, Activity::Io, "parallel_write");
+        self.blocking(total_bytes / fs_bandwidth, Activity::Io);
     }
 }
 
@@ -733,7 +640,6 @@ mod tests {
             (0..n_nodes).map(NodeId).collect(),
             rpn,
             tpr,
-            machine.memory.n_domains,
             machine.cores_per_node(),
         )
     }
@@ -776,18 +682,56 @@ mod tests {
     }
 
     #[test]
-    fn barrier_aligns_clocks() {
+    fn allreduce_aligns_clocks() {
         let (m, c, net) = cte_job(2, 48, 1);
         let mut job = Job::new(&m, &c, &net, layout(&m, 2, 48, 1), 1).with_imbalance(0.2);
         job.compute(&KernelProfile::dp("work", 1e9, 1e8));
-        job.barrier();
+        job.allreduce(Bytes::new(8.0));
         let times = job.rank_times();
         assert!(
             times
                 .iter()
                 .all(|t| (t.value() - times[0].value()).abs() < 1e-15),
-            "clocks aligned after barrier"
+            "clocks aligned after allreduce"
         );
+    }
+
+    #[test]
+    fn collectives_price_both_stages_under_every_algo() {
+        let (m, c, net) = cte_job(8, 48, 1);
+        let (tree, ring) = (CollectiveAlgo::BinomialTree, CollectiveAlgo::Ring);
+        let fresh = |algo| {
+            Job::new(&m, &c, &net, layout(&m, 8, 48, 1), 1)
+                .with_imbalance(0.0)
+                .with_collective_algo(algo)
+        };
+        let bits = |job: &Job<TofuD>| job.elapsed().value().to_bits();
+        let priced = |algo, bytes| {
+            let mut job = fresh(algo);
+            job.allreduce(bytes);
+            bits(&job)
+        };
+        for algo in [tree, ring, CollectiveAlgo::Auto] {
+            for bytes in [Bytes::new(8.0), Bytes::kib(64.0)] {
+                let probe = fresh(algo);
+                let intra = |b| probe.intra_node_ptp(b);
+                let inter = |b| probe.inter_node_ptp(b);
+                let want = collectives::allreduce(48, bytes, algo, intra)
+                    + collectives::allreduce(8, bytes, algo, inter);
+                assert_eq!(
+                    priced(algo, bytes),
+                    want.value().to_bits(),
+                    "{algo:?}, {bytes}"
+                );
+                let mut job = fresh(algo);
+                job.alltoall(bytes);
+                let want = collectives::alltoall(48, bytes, intra)
+                    + collectives::alltoall(8, bytes * (48.0 * 48.0), inter);
+                assert_eq!(bits(&job), want.value().to_bits(), "{algo:?}, {bytes}");
+            }
+        }
+        let large = Bytes::kib(64.0);
+        assert_ne!(priced(tree, large), priced(ring, large));
     }
 
     #[test]
@@ -860,13 +804,7 @@ mod tests {
         let m = marenostrum4();
         let c = Compiler::intel();
         let net = Network::new(FatTree::marenostrum4(), LinkModel::omnipath());
-        let l = JobLayout::new(
-            (0..16).map(NodeId).collect(),
-            48,
-            1,
-            m.memory.n_domains,
-            m.cores_per_node(),
-        );
+        let l = JobLayout::new((0..16).map(NodeId).collect(), 48, 1, m.cores_per_node());
         let mut job = Job::new(&m, &c, &net, l, 1);
         job.compute(&KernelProfile::dp("work", 1e10, 1e9));
         job.allreduce(Bytes::kib(64.0));
@@ -885,7 +823,6 @@ mod tests {
             let mut job = Job::new(&m, &c, net, layout(&m, 8, 48, 1), 7).with_imbalance(0.0);
             job.allreduce(Bytes::kib(64.0));
             job.alltoall(Bytes::kib(4.0));
-            job.bcast(Bytes::mib(1.0));
             job.elapsed().value()
         };
         assert_eq!(script(&net).to_bits(), script(&net_cached).to_bits());
@@ -997,20 +934,6 @@ mod tests {
         let mut job = Job::new(&m, &c, &net, layout(&m, 1, 4, 1), 1);
         job.compute(&KernelProfile::dp("w", 1e6, 0.0));
         assert!(job.trace().is_none());
-    }
-
-    #[test]
-    fn extra_collectives_advance_clocks() {
-        let (m, c, net) = cte_job(4, 48, 1);
-        for op in ["gather", "reduce_scatter", "scan"] {
-            let mut job = Job::new(&m, &c, &net, layout(&m, 4, 48, 1), 1).with_imbalance(0.0);
-            match op {
-                "gather" => job.gather(Bytes::kib(4.0)),
-                "reduce_scatter" => job.reduce_scatter(Bytes::kib(4.0)),
-                _ => job.scan(Bytes::kib(4.0)),
-            }
-            assert!(job.elapsed().value() > 0.0, "{op} must cost time");
-        }
     }
 
     #[test]
@@ -1210,8 +1133,7 @@ mod tests {
     }
 
     fn spread_layout(m: &Machine, n_nodes: usize, rpn: usize) -> JobLayout {
-        let (domains, cores) = (m.memory.n_domains, m.cores_per_node());
-        JobLayout::new(SPREAD[..n_nodes].to_vec(), rpn, 1, domains, cores)
+        JobLayout::new(SPREAD[..n_nodes].to_vec(), rpn, 1, m.cores_per_node())
     }
 
     /// `ring_halo` against the closure on 1-, 2- and 5-node layouts at

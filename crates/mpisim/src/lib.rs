@@ -8,10 +8,10 @@
 //! the job's elapsed time is the latest rank clock — exactly the "slowest
 //! process" metric the paper reports for Alya's phases.
 //!
-//! * [`layout`] — how ranks map onto nodes, NUMA domains and cores.
-//! * [`collectives`] — cost formulas for Barrier/Bcast/Reduce/Allreduce/
-//!   Allgather/Alltoall with hierarchical (intra-node + inter-node) stages
-//!   and selectable inter-node algorithm (binomial tree vs ring).
+//! * [`layout`] — how ranks and their threads map onto nodes.
+//! * [`collectives`] — cost formulas for Allreduce (binomial tree, ring or
+//!   a size-based switch) and Alltoall; a [`job::Job`] prices each in two
+//!   stages, intra-node then inter-node.
 //! * [`job`] — the [`job::Job`] execution context tying it all together.
 //! * [`faults`] — the job-visible slice of a fault plan: per-node compute
 //!   slowdowns as rank clock stretches, refusal of failed nodes, and the
@@ -35,7 +35,7 @@
 //! let machine = cte_arm();
 //! let compiler = Compiler::gnu_sve();
 //! let net = Network::new(TofuD::cte_arm(), LinkModel::tofud());
-//! let layout = JobLayout::new((0..4).map(NodeId).collect(), 48, 1, 4, 48);
+//! let layout = JobLayout::new((0..4).map(NodeId).collect(), 48, 1, 48);
 //! let mut job = Job::new(&machine, &compiler, &net, layout, 7);
 //! job.compute(&KernelProfile::dp("step", 1e9, 1e8));
 //! job.allreduce(Bytes::new(8.0));

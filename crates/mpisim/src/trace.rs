@@ -8,7 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 use simkit::units::Time;
-use std::sync::Arc;
 
 /// What a rank was doing during an interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,9 +45,6 @@ pub struct TraceEvent {
     pub start: Time,
     /// Interval end.
     pub end: Time,
-    /// Operation label (kernel or collective name), shared by every event
-    /// of the trace that carries it.
-    pub label: Arc<str>,
 }
 
 impl TraceEvent {
@@ -63,10 +59,6 @@ impl TraceEvent {
 pub struct Trace {
     /// All events, in recording order.
     pub events: Vec<TraceEvent>,
-    /// The distinct labels recorded so far. A job repeats a handful of
-    /// labels over every rank and step, so events share them instead of
-    /// each holding a copy.
-    labels: Vec<Arc<str>>,
 }
 
 impl Trace {
@@ -76,22 +68,13 @@ impl Trace {
     }
 
     /// Record one interval.
-    pub fn record(&mut self, rank: usize, activity: Activity, start: Time, end: Time, label: &str) {
+    pub fn record(&mut self, rank: usize, activity: Activity, start: Time, end: Time) {
         debug_assert!(end >= start, "negative interval");
-        let label = match self.labels.iter().find(|l| &***l == label) {
-            Some(shared) => Arc::clone(shared),
-            None => {
-                let shared: Arc<str> = label.into();
-                self.labels.push(Arc::clone(&shared));
-                shared
-            }
-        };
         self.events.push(TraceEvent {
             rank,
             activity,
             start,
             end,
-            label,
         });
     }
 
@@ -180,16 +163,13 @@ mod tests {
     #[test]
     fn breakdown_sums_durations() {
         let mut tr = Trace::new();
-        tr.record(0, Activity::Compute, t(0.0), t(2.0), "k");
-        tr.record(0, Activity::Collective, t(2.0), t(3.0), "allreduce");
-        tr.record(1, Activity::Compute, t(0.0), t(1.0), "k");
+        tr.record(0, Activity::Compute, t(0.0), t(2.0));
+        tr.record(0, Activity::Collective, t(2.0), t(3.0));
+        tr.record(1, Activity::Compute, t(0.0), t(1.0));
         let b = tr.breakdown();
         let compute = b.iter().find(|(a, _)| *a == Activity::Compute).unwrap().1;
         assert_eq!(compute, t(3.0));
         assert!((tr.fraction(Activity::Compute) - 0.75).abs() < 1e-12);
-        // Events with one label share it.
-        assert_eq!(&*tr.events[2].label, "k");
-        assert!(Arc::ptr_eq(&tr.events[0].label, &tr.events[2].label));
         assert_eq!(tr.span(), t(3.0));
     }
 
@@ -204,8 +184,8 @@ mod tests {
     #[test]
     fn gantt_shows_dominant_activity() {
         let mut tr = Trace::new();
-        tr.record(0, Activity::Compute, t(0.0), t(8.0), "k");
-        tr.record(0, Activity::Collective, t(8.0), t(10.0), "a");
+        tr.record(0, Activity::Compute, t(0.0), t(8.0));
+        tr.record(0, Activity::Collective, t(8.0), t(10.0));
         let g = tr.gantt(1, 10);
         assert!(g.contains("r0"));
         let strip: &str = g.lines().nth(1).unwrap();
@@ -219,7 +199,7 @@ mod tests {
     fn gantt_caps_rank_count() {
         let mut tr = Trace::new();
         for r in 0..100 {
-            tr.record(r, Activity::Compute, t(0.0), t(1.0), "k");
+            tr.record(r, Activity::Compute, t(0.0), t(1.0));
         }
         let g = tr.gantt(5, 20);
         assert_eq!(g.lines().count(), 6, "header + 5 ranks");

@@ -29,7 +29,6 @@ fn main() {
         (0..nodes).map(NodeId).collect(),
         48,
         1,
-        machine.memory.n_domains,
         machine.cores_per_node(),
     );
     let mut job = Job::new(&machine, &compiler, &net, layout, 99)
