@@ -1,4 +1,4 @@
-//! A deterministic discrete-event scheduler.
+//! A deterministic discrete-event queue.
 //!
 //! Events are ordered by `(time, sequence)`: two events scheduled for the
 //! same instant fire in insertion order, which keeps runs bit-reproducible
@@ -98,73 +98,12 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { at, seq, payload });
     }
 
-    /// Schedule `payload` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: Time, payload: E) {
-        self.schedule_at(self.now + delay, payload);
-    }
-
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.heap.pop().map(|e| {
             self.now = e.at;
             (e.at, e.payload)
         })
-    }
-}
-
-/// A driver that runs an event queue to completion through a handler.
-///
-/// The handler receives `(time, event, &mut Scheduler)` and may schedule
-/// follow-up events; the run ends when the queue drains or after
-/// `max_events` (a runaway-loop backstop).
-pub struct Scheduler<E> {
-    queue: EventQueue<E>,
-    max_events: u64,
-}
-
-impl<E> Scheduler<E> {
-    /// A scheduler with a generous default event budget.
-    pub fn new() -> Self {
-        Self {
-            queue: EventQueue::new(),
-            max_events: 100_000_000,
-        }
-    }
-
-    /// Override the event budget.
-    pub fn with_max_events(mut self, max: u64) -> Self {
-        self.max_events = max;
-        self
-    }
-
-    /// Access the underlying queue (e.g. to seed initial events).
-    pub fn queue(&mut self) -> &mut EventQueue<E> {
-        &mut self.queue
-    }
-
-    /// Run until the queue drains. Returns the final simulated time and the
-    /// number of events processed.
-    ///
-    /// # Panics
-    /// Panics if the event budget is exhausted, which indicates a live-lock
-    /// in the simulated protocol.
-    pub fn run(&mut self, mut handler: impl FnMut(Time, E, &mut EventQueue<E>)) -> (Time, u64) {
-        let mut processed = 0;
-        while let Some((t, ev)) = self.queue.pop() {
-            handler(t, ev, &mut self.queue);
-            processed += 1;
-            assert!(
-                processed <= self.max_events,
-                "event budget exhausted after {processed} events — livelock?"
-            );
-        }
-        (self.queue.now(), processed)
-    }
-}
-
-impl<E> Default for Scheduler<E> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -208,32 +147,6 @@ mod tests {
         q.schedule_at(Time::seconds(2.0), ());
         q.pop();
         q.schedule_at(Time::seconds(1.0), ());
-    }
-
-    #[test]
-    fn scheduler_runs_cascading_events() {
-        // A chain: each event schedules the next until a countdown hits zero.
-        let mut s = Scheduler::new();
-        s.queue().schedule_at(Time::seconds(1.0), 5u32);
-        let mut fired = Vec::new();
-        let (end, n) = s.run(|t, countdown, q| {
-            fired.push((t, countdown));
-            if countdown > 0 {
-                q.schedule_in(Time::seconds(1.0), countdown - 1);
-            }
-        });
-        assert_eq!(n, 6);
-        assert_eq!(end, Time::seconds(6.0));
-        assert_eq!(fired.len(), 6);
-        assert_eq!(fired[5], (Time::seconds(6.0), 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "event budget exhausted")]
-    fn runaway_loop_is_caught() {
-        let mut s = Scheduler::new().with_max_events(100);
-        s.queue().schedule_at(Time::ZERO, ());
-        s.run(|_, (), q| q.schedule_in(Time::seconds(1.0), ()));
     }
 
     #[test]

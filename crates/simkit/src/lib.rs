@@ -6,7 +6,7 @@
 //! * [`units`] — strongly-typed physical quantities (time, bytes, flops,
 //!   bandwidth) so that cost models cannot accidentally mix units.
 //! * [`time`] — a virtual clock for simulated execution.
-//! * [`event`] — a deterministic discrete-event scheduler.
+//! * [`event`] — a deterministic discrete-event queue.
 //! * [`rng`] — a small, seedable, reproducible PCG32 generator (identical
 //!   streams on every platform, unlike hash-seeded generators).
 //! * [`stats`] — online statistics (Welford), histograms, percentiles.
@@ -33,7 +33,7 @@ pub mod time;
 pub mod units;
 
 pub use cache::{Cache, CacheKey, TierCounters};
-pub use event::{EventQueue, Scheduler};
+pub use event::EventQueue;
 pub use rng::Pcg32;
 pub use series::{Figure, Series, Table};
 pub use stats::{Histogram, OnlineStats};
