@@ -7,6 +7,10 @@ use simkit::rng::Pcg32;
 use simkit::units::{Bandwidth, Bytes, Time};
 use std::sync::{Arc, OnceLock};
 
+/// Lognormal sigma of dynamic-contention noise for messages ≥ 1 MiB.
+/// The paper observes high run-to-run variability only above 2^20 B.
+const LARGE_MSG_NOISE_SIGMA: f64 = 0.25;
+
 /// Asymmetric per-node bandwidth degradation.
 ///
 /// The paper's Fig. 4 shows node `arms0b1-11c` achieving very low bandwidth
@@ -102,9 +106,6 @@ pub struct Network<T: Topology> {
     retry_stretch: Vec<f64>,
     /// Hard-failed nodes: transfers touching them never complete.
     failed: Vec<bool>,
-    /// Lognormal sigma of dynamic-contention noise for messages ≥ 1 MiB.
-    /// The paper observes high run-to-run variability only above 2^20 B.
-    large_msg_noise: f64,
     /// Memoized hop/sharing pair table, built on first request and shared
     /// with later clones; `None` for topologies that answer pairs in O(1)
     /// directly.
@@ -123,7 +124,6 @@ impl<T: Topology> Network<T> {
             extra_lat: vec![0.0; n],
             retry_stretch: vec![1.0; n],
             failed: vec![false; n],
-            large_msg_noise: 0.25,
             table: OnceLock::new(),
         }
     }
@@ -203,13 +203,6 @@ impl<T: Topology> Network<T> {
             .filter(|(_, &f)| f)
             .map(|(i, _)| NodeId(i))
             .collect()
-    }
-
-    /// Override the large-message noise sigma (0 disables it).
-    pub fn with_large_msg_noise(mut self, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "noise sigma must be non-negative");
-        self.large_msg_noise = sigma;
-        self
     }
 
     /// The topology.
@@ -308,10 +301,10 @@ impl<T: Topology> Network<T> {
     /// noise for large messages (the paper's >1 MiB variability).
     pub fn measured_time(&self, from: NodeId, to: NodeId, bytes: Bytes, rng: &mut Pcg32) -> Time {
         let base = self.message_time(from, to, bytes);
-        if bytes.value() >= 1024.0 * 1024.0 && self.large_msg_noise > 0.0 {
+        if bytes.value() >= 1024.0 * 1024.0 {
             // Contention only ever slows a transfer down: fold the lognormal
             // factor to ≥ 1.
-            let factor = rng.lognormal_noise(self.large_msg_noise).max(1.0);
+            let factor = rng.lognormal_noise(LARGE_MSG_NOISE_SIGMA).max(1.0);
             Time::seconds(base.value() * factor)
         } else {
             base
@@ -601,14 +594,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn noise_can_be_disabled() {
-        let net = cte_net().with_large_msg_noise(0.0);
-        let mut rng = Pcg32::seeded(4);
-        let a = net.measured_time(NodeId(0), NodeId(9), Bytes::mib(8.0), &mut rng);
-        let b = net.measured_time(NodeId(0), NodeId(9), Bytes::mib(8.0), &mut rng);
-        assert_eq!(a, b);
     }
 }
