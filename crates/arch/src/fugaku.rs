@@ -46,21 +46,12 @@ pub fn fugaku() -> Machine {
     }
 }
 
-/// Fugaku's Tofu geometry for topology studies:
-/// `(X, Y, Z) = (24, 23, 24)` units of `(2, 3, 2)`.
-pub fn fugaku_tofu_dims() -> [usize; 6] {
-    [24, 23, 24, 2, 3, 2]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn node_count_and_geometry_agree() {
-        let dims = fugaku_tofu_dims();
-        let product: usize = dims.iter().product();
-        assert_eq!(product, FUGAKU_NODES);
         assert_eq!(fugaku().nodes, FUGAKU_NODES);
     }
 

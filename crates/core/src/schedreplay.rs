@@ -301,7 +301,10 @@ mod tests {
 
     #[test]
     fn machine_names_resolve() {
-        assert_eq!(machine_topo("fugaku").unwrap().nodes(), 158_976);
+        assert_eq!(
+            machine_topo("fugaku").unwrap().nodes(),
+            arch::fugaku::FUGAKU_NODES
+        );
         assert_eq!(machine_topo("cte-arm").unwrap().nodes(), 192);
         assert!(machine_topo("summit").is_none());
     }

@@ -162,7 +162,10 @@ fn small_replay_is_deterministic_and_sane() {
 
 #[test]
 fn machine_and_policy_names_roundtrip() {
-    assert_eq!(machine_topo("fugaku").expect("fugaku").nodes(), 158_976);
+    assert_eq!(
+        machine_topo("fugaku").expect("fugaku").nodes(),
+        arch::fugaku::FUGAKU_NODES
+    );
     assert_eq!(machine_topo("cte-arm").expect("cte-arm").nodes(), 192);
     assert!(machine_topo("summit").is_none());
     for name in ["best-fit", "first-fit", "random"] {
