@@ -741,6 +741,16 @@ mod tests {
         let topo = TofuD::with_dims([6, 6, 6, 2, 3, 2], [true, true, true, false, true, false]);
         let report = run_scale_campaign(topo, 2, 11);
         assert_eq!(report.nodes, 2592);
+        // The table itself is pinned, plans and fingerprints alike.
+        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/scale/fseries_scale_2592.csv");
+        let want =
+            std::fs::read_to_string(&golden).expect("tests/golden/scale/fseries_scale_2592.csv");
+        assert_eq!(
+            report.table.to_csv(),
+            want,
+            "2,592-node campaign table drifted"
+        );
         for (i, t) in report.trials.iter().enumerate() {
             assert!(t.fingerprint_hit, "trial {i} must fingerprint its nodes");
             assert_eq!(t.injected.len(), 6);
