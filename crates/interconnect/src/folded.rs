@@ -66,7 +66,10 @@ pub struct FoldedTable {
 
 impl FoldedTable {
     /// Fold the routing metadata of a TofuD shape. `O(Π (2·ext − 1))`
-    /// work, filled in parallel; independent of the node-pair count.
+    /// work, independent of the node-pair count: each block of the three
+    /// inner dimensions' classes is one outer hop sum added to a shared
+    /// row of inner sums, and blocks fill in parallel. At full Fugaku what
+    /// remains is mostly the first touch of the ~9 MB table.
     ///
     /// # Panics
     /// Panics if the class space overflows 31-bit indexing (a shape far
@@ -111,55 +114,53 @@ impl FoldedTable {
         });
         let palette: Vec<f64> = std::iter::once(same).chain(cross_rep).collect();
 
-        // Fill the class entries in parallel. Blocks of the three inner
-        // dimensions decode their leading digits once, then tick an
-        // odometer — entries are position-independent, so the result does
-        // not depend on the chunking.
-        let mut entries = vec![0u16; classes];
-        let block = radix[3] * radix[4] * radix[5];
+        // Hops sum per-dimension distances, and the sharing class reads the
+        // three outer (X/Y/Z) offsets alone. So each block of inner-dimension
+        // classes (45 entries on TofuD) is one outer sum plus a shared row
+        // of inner sums, and fills in parallel, block by block.
         let periodic = topo.periodic;
-        entries
-            .par_chunks_mut(block)
-            .enumerate()
-            .for_each(|(bi, chunk)| {
-                let mut g = [0usize; DIMS];
-                let mut rem = bi * block;
-                for i in (0..DIMS).rev() {
-                    g[i] = rem % radix[i];
-                    rem /= radix[i];
-                }
-                for e in chunk.iter_mut() {
-                    let mut hops = 0usize;
-                    let mut same_unit = true;
-                    for i in 0..DIMS {
-                        // Signed per-dimension offset of this class; the
+        let dist: Vec<Vec<usize>> = (0..DIMS)
+            .map(|i| {
+                (0..radix[i])
+                    .map(|g| {
+                        // Signed per-dimension offset of digit `g`; the
                         // torus wrap is folded into the stored distance.
-                        let off = g[i].abs_diff(dims[i] - 1);
-                        let dist = if periodic[i] {
+                        let off = g.abs_diff(dims[i] - 1);
+                        if periodic[i] {
                             off.min(dims[i] - off)
                         } else {
                             off
-                        };
-                        hops += dist;
-                        if i < 3 && off != 0 {
-                            same_unit = false;
                         }
-                    }
-                    assert!(
-                        hops <= HOPS_MASK as usize,
-                        "hop count {hops} overflows the {HOPS_BITS}-bit folded entry"
-                    );
-                    debug_assert_eq!(hops, class_rep_hops(topo, &g), "folded hops diverge");
-                    let class: u16 = u16::from(!same_unit);
-                    *e = ((class) << HOPS_BITS) | hops as u16;
-                    // Advance the class odometer.
-                    for i in (0..DIMS).rev() {
-                        g[i] += 1;
-                        if g[i] < radix[i] {
-                            break;
-                        }
-                        g[i] = 0;
-                    }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut inner = Vec::with_capacity(radix[3] * radix[4] * radix[5]);
+        for &d3 in &dist[3] {
+            for &d4 in &dist[4] {
+                for &d5 in &dist[5] {
+                    inner.push(d3 + d4 + d5);
+                }
+            }
+        }
+        let inner_max = inner.iter().copied().max().unwrap_or(0);
+        let mut entries = vec![0u16; classes];
+        entries
+            .par_chunks_mut(inner.len())
+            .enumerate()
+            .for_each(|(bi, chunk)| {
+                let (g0, rest) = (bi / (radix[1] * radix[2]), bi % (radix[1] * radix[2]));
+                let (g1, g2) = (rest / radix[2], rest % radix[2]);
+                let outer = dist[0][g0] + dist[1][g1] + dist[2][g2];
+                assert!(
+                    outer + inner_max <= HOPS_MASK as usize,
+                    "hop count {} overflows the {HOPS_BITS}-bit folded entry",
+                    outer + inner_max
+                );
+                let same_unit = [g0, g1, g2] == [dims[0] - 1, dims[1] - 1, dims[2] - 1];
+                let class = u16::from(!same_unit) << HOPS_BITS;
+                for (e, &h) in chunk.iter_mut().zip(&inner) {
+                    *e = class | (outer + h) as u16;
                 }
             });
 
@@ -229,23 +230,6 @@ impl FoldedTable {
         }
         sink
     }
-}
-
-/// Debug-assert oracle: hop count of a representative pair realizing the
-/// offset class `g`, priced through the topology's own `hops`. Only
-/// invoked from `debug_assert_eq!`, so release builds optimize it away.
-fn class_rep_hops(topo: &TofuD, g: &[usize; DIMS]) -> usize {
-    let mut ca = [0usize; DIMS];
-    let mut cb = [0usize; DIMS];
-    for i in 0..DIMS {
-        let o = g[i] as isize - (topo.dims[i] as isize - 1);
-        if o < 0 {
-            ca[i] = o.unsigned_abs();
-        } else {
-            cb[i] = o as usize;
-        }
-    }
-    topo.hops(topo.node_at(ca), topo.node_at(cb))
 }
 
 impl Topology for FoldedTable {

@@ -1,4 +1,4 @@
-//! A network: topology + link model + per-node health + measurement noise.
+//! A network: topology + link model + endpoint faults + measurement noise.
 
 use crate::folded::FoldedTable;
 use crate::link::LinkModel;
@@ -82,6 +82,33 @@ pub struct PathCost {
     pub local: bool,
 }
 
+/// Health of one network endpoint. Nodes without a fault read
+/// [`HEALTHY`], whose factors are the identities of the per-message
+/// formula: `×1.0`, `+0.0` and `×1.0` are bit-exact no-ops.
+#[derive(Debug, Clone, Copy)]
+struct Endpoint {
+    /// Send-side bandwidth factor, `(0, 1]`.
+    tx: f64,
+    /// Receive-side bandwidth factor, `(0, 1]`.
+    rx: f64,
+    /// Additive latency from link faults (mis-trained lanes), seconds.
+    extra: f64,
+    /// Multiplicative expected-retransmit stretch, ≥ 1 (transient packet
+    /// loss with timeout/backoff, folded analytically so sweeps stay
+    /// deterministic).
+    stretch: f64,
+    /// Hard-failed: transfers touching the node never complete.
+    failed: bool,
+}
+
+const HEALTHY: Endpoint = Endpoint {
+    tx: 1.0,
+    rx: 1.0,
+    extra: 0.0,
+    stretch: 1.0,
+    failed: false,
+};
+
 /// A complete network model.
 ///
 /// A clone made after the pair table is built shares that table instead of
@@ -92,20 +119,12 @@ pub struct PathCost {
 pub struct Network<T: Topology> {
     topo: T,
     link: LinkModel,
-    /// Per-node send/receive health factors, flat-indexed by node id
-    /// (1.0 = healthy). Dense so the per-message lookup is two loads
-    /// instead of two hash probes.
-    deg_tx: Vec<f64>,
-    deg_rx: Vec<f64>,
-    /// Additive per-endpoint latency from link faults (mis-trained lanes),
-    /// seconds; 0 = healthy.
-    extra_lat: Vec<f64>,
-    /// Multiplicative expected-retransmit stretch per endpoint, ≥ 1
-    /// (transient packet loss with timeout/backoff, folded analytically so
-    /// sweeps stay deterministic); 1 = healthy.
-    retry_stretch: Vec<f64>,
-    /// Hard-failed nodes: transfers touching them never complete.
-    failed: Vec<bool>,
+    /// Faulted endpoints, sorted by node id; every other node reads
+    /// [`HEALTHY`]. A fault campaign touches a handful of nodes, so the
+    /// list stays a few entries long at any machine size, a healthy
+    /// network answers with one `is_empty` check, and a clone copies no
+    /// per-node state.
+    faults: Vec<(NodeId, Endpoint)>,
     /// Memoized hop/sharing pair table, built on first request and shared
     /// with later clones; `None` for topologies that answer pairs in O(1)
     /// directly.
@@ -115,17 +134,48 @@ pub struct Network<T: Topology> {
 impl<T: Topology> Network<T> {
     /// Build a healthy network.
     pub fn new(topo: T, link: LinkModel) -> Self {
-        let n = topo.nodes();
         Self {
             topo,
             link,
-            deg_tx: vec![1.0; n],
-            deg_rx: vec![1.0; n],
-            extra_lat: vec![0.0; n],
-            retry_stretch: vec![1.0; n],
-            failed: vec![false; n],
+            faults: Vec::new(),
             table: OnceLock::new(),
         }
+    }
+
+    /// The health of `node`: its fault entry, or [`HEALTHY`].
+    #[inline]
+    fn endpoint(&self, node: NodeId) -> Endpoint {
+        if self.faults.is_empty() {
+            return HEALTHY;
+        }
+        match self.faults.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(i) => self.faults[i].1,
+            Err(_) => HEALTHY,
+        }
+    }
+
+    /// The fault entry of `node`, inserted healthy in id order if absent.
+    fn endpoint_mut(&mut self, node: NodeId) -> &mut Endpoint {
+        let i = match self.faults.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(i) => i,
+            Err(i) => {
+                self.faults.insert(i, (node, HEALTHY));
+                i
+            }
+        };
+        &mut self.faults[i].1
+    }
+
+    /// Every node a fault builder has touched, once each, in id order.
+    ///
+    /// `path_cost` reads node health only through the pair's two
+    /// endpoints, and an untouched node reads exactly the healthy
+    /// constants. So a message between two nodes outside this list prices
+    /// bit for bit as on the same network with no faults: a campaign can
+    /// start from a healthy baseline and re-price only the messages with
+    /// an endpoint in this list.
+    pub fn faulted_nodes(&self) -> Vec<NodeId> {
+        self.faults.iter().map(|&(n, _)| n).collect()
     }
 
     /// Mark a node as degraded.
@@ -142,8 +192,9 @@ impl<T: Topology> Network<T> {
                 "Degradation {name} must be in (0, 1], got {f}"
             );
         }
-        self.deg_tx[node.index()] = d.tx_factor;
-        self.deg_rx[node.index()] = d.rx_factor;
+        let e = self.endpoint_mut(node);
+        e.tx = d.tx_factor;
+        e.rx = d.rx_factor;
         self
     }
 
@@ -155,7 +206,7 @@ impl<T: Topology> Network<T> {
     pub fn with_link_fault(mut self, node: NodeId, extra: Time) -> Self {
         check_node(&self.topo, node);
         assert!(extra.value() >= 0.0, "link-fault latency must be ≥ 0");
-        self.extra_lat[node.index()] += extra.value();
+        self.endpoint_mut(node).extra += extra.value();
         self
     }
 
@@ -175,8 +226,9 @@ impl<T: Topology> Network<T> {
         );
         assert!(timeout.value() >= 0.0, "retransmit timeout must be ≥ 0");
         let expected_attempts = 1.0 / (1.0 - drop_prob);
-        self.retry_stretch[node.index()] *= expected_attempts;
-        self.extra_lat[node.index()] += drop_prob / (1.0 - drop_prob) * timeout.value();
+        let e = self.endpoint_mut(node);
+        e.stretch *= expected_attempts;
+        e.extra += drop_prob / (1.0 - drop_prob) * timeout.value();
         self
     }
 
@@ -185,23 +237,22 @@ impl<T: Topology> Network<T> {
     /// failed nodes; `mpisim` refuses to place ranks on them.
     pub fn with_failed_node(mut self, node: NodeId) -> Self {
         check_node(&self.topo, node);
-        self.failed[node.index()] = true;
+        self.endpoint_mut(node).failed = true;
         self
     }
 
     /// Whether a node has hard-failed.
     pub fn is_failed(&self, node: NodeId) -> bool {
         check_node(&self.topo, node);
-        self.failed[node.index()]
+        self.endpoint(node).failed
     }
 
     /// All hard-failed nodes, in id order.
     pub fn failed_nodes(&self) -> Vec<NodeId> {
-        self.failed
+        self.faults
             .iter()
-            .enumerate()
-            .filter(|(_, &f)| f)
-            .map(|(i, _)| NodeId(i))
+            .filter(|(_, e)| e.failed)
+            .map(|&(n, _)| n)
             .collect()
     }
 
@@ -213,11 +264,6 @@ impl<T: Topology> Network<T> {
     /// The link model.
     pub fn link(&self) -> &LinkModel {
         &self.link
-    }
-
-    /// Bandwidth derate for the (sender, receiver) pair from node health.
-    fn health_factor(&self, from: NodeId, to: NodeId) -> f64 {
-        self.deg_tx[from.index()] * self.deg_rx[to.index()]
     }
 
     /// The memoized hop/sharing table, built on first request. Sweeps that
@@ -259,17 +305,18 @@ impl<T: Topology> Network<T> {
             Some(t) => (t.hops(from, to), t.sharing(from, to)),
             None => (self.topo.hops(from, to), self.topo.sharing(from, to)),
         };
-        let health = if self.failed[from.index()] || self.failed[to.index()] {
+        let (src, dst) = (self.endpoint(from), self.endpoint(to));
+        let health = if src.failed || dst.failed {
             0.0
         } else {
-            self.health_factor(from, to)
+            src.tx * dst.rx
         };
         PathCost {
             hops,
             sharing,
             health,
-            extra_s: self.extra_lat[from.index()] + self.extra_lat[to.index()],
-            stretch: self.retry_stretch[from.index()] * self.retry_stretch[to.index()],
+            extra_s: src.extra + dst.extra,
+            stretch: src.stretch * dst.stretch,
             local: false,
         }
     }
@@ -572,6 +619,44 @@ mod tests {
         let a = net.message_time(NodeId(0), NodeId(1), Bytes::kib(1.0));
         let b = clean.message_time(NodeId(0), NodeId(1), Bytes::kib(1.0));
         assert_eq!(a.value().to_bits(), b.value().to_bits());
+    }
+
+    #[test]
+    fn faulted_nodes_lists_each_touched_node_once_in_id_order() {
+        assert!(cte_net().faulted_nodes().is_empty());
+        let net = cte_net()
+            .with_failed_node(NodeId(120))
+            .with_link_fault(NodeId(7), Time::micros(3.0))
+            .with_degraded_node(NodeId(7), Degradation::receive_fault(0.5))
+            .with_retransmit_fault(NodeId(64), 0.1, Time::micros(10.0))
+            .with_degraded_node(NodeId(3), Degradation::new(1.0, 1.0));
+        let ids = [3, 7, 64, 120].map(NodeId);
+        assert_eq!(net.faulted_nodes(), ids, "a neutral fault still touches");
+        assert_eq!(net.failed_nodes(), vec![NodeId(120)]);
+        // Pairs outside the list price as on the healthy network.
+        let clean = cte_net();
+        for (a, b) in [(0usize, 1usize), (5, 191), (100, 2)] {
+            let (a, b) = (NodeId(a), NodeId(b));
+            for bytes in [256.0, 65536.0] {
+                let t = net.message_time(a, b, Bytes::new(bytes)).value();
+                let want = clean.message_time(a, b, Bytes::new(bytes)).value();
+                assert_eq!(t.to_bits(), want.to_bits(), "({a}, {b}) at {bytes} B");
+            }
+        }
+    }
+
+    #[test]
+    fn faulted_clone_shares_the_pair_table() {
+        let base = cte_net();
+        let table = base.routing_table().expect("TofuD folds its pair table");
+        let faulted = base
+            .clone()
+            .with_failed_node(NodeId(9))
+            .with_degraded_node(NodeId(18), Degradation::receive_fault(0.08));
+        let shared = faulted.table_if_built().expect("the clone starts with it");
+        assert!(std::ptr::eq(shared, table), "shared, not copied");
+        assert!(base.faulted_nodes().is_empty(), "the base stays healthy");
+        assert_eq!(faulted.faulted_nodes(), vec![NodeId(9), NodeId(18)]);
     }
 
     #[test]
