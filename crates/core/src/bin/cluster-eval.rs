@@ -293,7 +293,8 @@ fn run_fugaku_smoke(csv: bool) -> ExitCode {
     // determinism contract).
     let summary = format!(
         "fugaku-smoke: {} nodes, pair table {:.2} MB in {:.1} ms, \
-         closed-form sweep {:.1} ms (max/mean link load {:.1}/{:.1}, mean hops {:.2})",
+         closed-form sweep {:.1} ms (max/mean link load {:.1}/{:.1}, mean hops {:.2}), \
+         {} messages priced",
         report.nodes,
         report.table_bytes as f64 / (1024.0 * 1024.0),
         report.table_build_ms,
@@ -301,6 +302,7 @@ fn run_fugaku_smoke(csv: bool) -> ExitCode {
         report.link_load.0,
         report.link_load.1,
         report.mean_hops,
+        report.messages_priced,
     );
     if csv {
         eprintln!("{summary}");
@@ -388,6 +390,7 @@ fn run_faults(args: &[String]) -> ExitCode {
     };
     let ctx = Ctx::new();
     let report = run_campaign(&ctx, &c, jobs);
+    eprintln!("{}: {} messages priced", c.name, report.messages_priced);
     let artifact = report.artifact();
     print!(
         "{}",

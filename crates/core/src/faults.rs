@@ -9,11 +9,20 @@
 //! additionally run an `mpisim` job across the faulty nodes and replay a
 //! production day through the scheduler with hard node failures.
 //!
+//! Every trial starts from the healthy baseline: the per-pair tables of
+//! the fault-free network, computed once per campaign. A trial copies them
+//! and re-prices only the messages with a faulted endpoint — the rows and
+//! columns of [`Network::faulted_nodes`]. That is exact, not an
+//! approximation: `Network::path_cost` reads node health only through the
+//! pair's two endpoints, so every other message prices bit for bit as on
+//! the healthy network. A trial's pricing work is set by its faulted
+//! nodes, not by the machine size ([`CampaignReport::messages_priced`]).
+//!
 //! Everything is deterministic: trial plans derive from `(campaign seed,
 //! trial index)` through `simkit::rng`, trials are pure functions of their
-//! index, and baselines are precomputed into the shared [`Ctx`] cache
-//! before trials fan out — so the campaign table is byte-identical at any
-//! `--jobs` / `RAYON_NUM_THREADS`.
+//! plan and the baseline, and the baseline is built (through the shared
+//! [`Ctx`] cache) before trials fan out — so the campaign table is
+//! byte-identical at any `--jobs` / `RAYON_NUM_THREADS`.
 
 use crate::engine::{run_indexed, Ctx};
 use crate::experiments::Artifact;
@@ -27,12 +36,11 @@ use interconnect::network::{Degradation, Network};
 use interconnect::tofu::TofuD;
 use interconnect::topology::{NodeId, Topology};
 use microbench::network::{summarize_map, PairMapSummary, DEGRADED_NODE, DEGRADED_RX_FACTOR};
-use mpisim::faults::{alltoall_drains, JobFaults};
+use mpisim::faults::JobFaults;
 use mpisim::{Job, JobLayout};
 use rayon::prelude::*;
 use sched::{AllocationPolicy, Allocator, NodeFailure, Scheduler, WorkloadSpec};
 use simkit::cache::CacheKey;
-use simkit::rng::Pcg32;
 use simkit::series::Table;
 use simkit::units::{Bytes, Time};
 
@@ -192,22 +200,124 @@ fn healthy_network() -> Network<TofuD> {
     Network::new(TofuD::cte_arm(), LinkModel::tofud())
 }
 
-fn baseline_summary(ctx: &Ctx) -> PairMapSummary {
-    ctx.cache.get_or_persistent(
-        CacheKey::new("CTE-Arm", "faults-baseline-map", "msg=256B"),
-        || {
-            let net = healthy_network();
-            let mut rng = Pcg32::seeded(0);
-            summarize_map(&net.pairwise_bandwidth_map(Bytes::new(PROBE_BYTES), &mut rng))
-        },
-    )
+/// The Fig.-4 price of a pair: the bandwidth a 256 B ping-pong reports, in
+/// GB/s. Below the 1 MiB noise threshold the measured time is the
+/// deterministic one, so no noise is drawn; a failed endpoint reads 0.
+fn map_price(net: &Network<TofuD>) -> impl Fn(NodeId, NodeId) -> f64 + '_ {
+    let bytes = Bytes::new(PROBE_BYTES);
+    move |s, r| (bytes / net.message_time(s, r, bytes)).as_gb_per_sec()
 }
 
-fn baseline_drains(ctx: &Ctx) -> Vec<f64> {
-    ctx.cache.get_or_persistent(
-        CacheKey::new("CTE-Arm", "faults-baseline-drain", "msg=64KiB"),
-        || alltoall_drains(&healthy_network(), Bytes::new(DRAIN_BYTES)),
-    )
+/// The drain price of a pair: one 64 KiB message's time, in seconds
+/// (`+∞` through a failed endpoint).
+fn drain_price(net: &Network<TofuD>) -> impl Fn(NodeId, NodeId) -> f64 + '_ {
+    move |s, r| net.message_time(s, r, Bytes::new(DRAIN_BYTES)).value()
+}
+
+/// `table[sender][receiver]` over all `n` nodes, priced by `price`; the
+/// diagonal (self-pairs) is 0 and not priced.
+fn pair_table(n: usize, price: impl Fn(NodeId, NodeId) -> f64) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|s| {
+            (0..n)
+                .map(|r| {
+                    if s == r {
+                        0.0
+                    } else {
+                        price(NodeId(s), NodeId(r))
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Re-price the row and the column of each of `nodes` in `table` (their
+/// sends and their receives) and return the number of messages priced.
+fn reprice_pairs(
+    table: &mut [Vec<f64>],
+    nodes: &[NodeId],
+    price: impl Fn(NodeId, NodeId) -> f64,
+) -> u64 {
+    let n = table.len();
+    for &f in nodes {
+        for o in (0..n).filter(|&o| o != f.index()) {
+            table[f.index()][o] = price(f, NodeId(o));
+            table[o][f.index()] = price(NodeId(o), f);
+        }
+    }
+    (nodes.len() * 2 * (n - 1)) as u64
+}
+
+/// Per-node all-to-all drain times from a message-time table: for each
+/// node, the time to serialize its sends to — and its receives from —
+/// every live peer, whichever direction is slower. This is the paper's
+/// all-to-all detection signature: a receive-degraded node drains its
+/// *receive* side far slower than its sends, and every healthy node sees
+/// one slow peer. Hard-failed nodes never drain (`+∞`); live nodes skip
+/// dead peers, as MPI would after the fault is acked.
+fn drains(times: &[Vec<f64>], failed: &[NodeId]) -> Vec<f64> {
+    let n = times.len();
+    let mut dead = vec![false; n];
+    for f in failed {
+        dead[f.index()] = true;
+    }
+    (0..n)
+        .map(|s| {
+            if dead[s] {
+                return f64::INFINITY;
+            }
+            let (mut send, mut recv) = (0.0f64, 0.0f64);
+            for r in (0..n).filter(|&r| r != s && !dead[r]) {
+                send += times[s][r];
+                recv += times[r][s];
+            }
+            send.max(recv)
+        })
+        .collect()
+}
+
+/// The healthy CTE-Arm baseline every F-series trial starts from.
+struct Baseline {
+    /// The fault-free network, pair table built; trials clone it.
+    net: Network<TofuD>,
+    /// The Fig.-4 map at 256 B, GB/s ([`map_price`]).
+    map: Vec<Vec<f64>>,
+    /// The 64 KiB message times, seconds ([`drain_price`]).
+    times: Vec<Vec<f64>>,
+    /// The map's per-node means.
+    summary: PairMapSummary,
+    /// The drains of `times`.
+    drains: Vec<f64>,
+}
+
+impl Baseline {
+    /// Build the baseline, its two tables through `ctx`'s cache, and
+    /// return it with the messages this call priced (none for a table the
+    /// cache already held).
+    fn new(ctx: &Ctx) -> (Self, u64) {
+        let net = healthy_network();
+        net.routing_table();
+        let n = net.topology().nodes();
+        let mut priced = 0;
+        let mut table = |workload: &str, params: &str, price: &dyn Fn(NodeId, NodeId) -> f64| {
+            ctx.cache
+                .get_or_persistent(CacheKey::new("CTE-Arm", workload, params), || {
+                    priced += (n * (n - 1)) as u64;
+                    pair_table(n, price)
+                })
+        };
+        let map = table("faults-baseline-map", "msg=256B", &map_price(&net));
+        let times = table("faults-baseline-drain", "msg=64KiB", &drain_price(&net));
+        let base = Self {
+            summary: summarize_map(&map),
+            drains: drains(&times, &[]),
+            net,
+            map,
+            times,
+        };
+        (base, priced)
+    }
 }
 
 fn baseline_sched_makespan(ctx: &Ctx, seed: u64) -> f64 {
@@ -221,8 +331,22 @@ fn baseline_sched_makespan(ctx: &Ctx, seed: u64) -> f64 {
     )
 }
 
+/// The `k` nodes with the largest `score`, largest first. Ties go to the
+/// lower id, so the order is total and the selection unique: partition
+/// the top `k` out, then sort only those.
+fn top_k(score: &[f64], k: usize) -> Vec<NodeId> {
+    let rank = |a: &usize, b: &usize| score[*b].total_cmp(&score[*a]).then(a.cmp(b));
+    let mut order: Vec<usize> = (0..score.len()).collect();
+    if k < order.len() {
+        order.select_nth_unstable_by(k, rank);
+        order.truncate(k);
+    }
+    order.sort_unstable_by(rank);
+    order.into_iter().map(NodeId).collect()
+}
+
 /// Per-node ping-pong slowdowns vs baseline and the top-`k` outlier
-/// ranking (ties broken by node id, so the order is total).
+/// ranking ([`top_k`]).
 fn detect(base: &PairMapSummary, faulty: &PairMapSummary, k: usize) -> (Vec<NodeId>, Vec<f64>) {
     let n = faulty.rx_means.len();
     let slow: Vec<f64> = (0..n)
@@ -232,15 +356,13 @@ fn detect(base: &PairMapSummary, faulty: &PairMapSummary, k: usize) -> (Vec<Node
             rx.max(tx)
         })
         .collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| slow[b].total_cmp(&slow[a]).then(a.cmp(&b)));
-    (order.into_iter().take(k).map(NodeId).collect(), slow)
+    (top_k(&slow, k), slow)
 }
 
 /// Lay a 4-node, 16-rank job across the faulty region (injected non-failed
 /// nodes first, healthy filler after) and compare its makespan against the
-/// identical job on a healthy network.
-fn job_slowdown(plan: &FaultPlan, faulty_net: &Network<TofuD>) -> f64 {
+/// identical job on the healthy network `clean`.
+fn job_slowdown(plan: &FaultPlan, faulty_net: &Network<TofuD>, clean: &Network<TofuD>) -> f64 {
     let failed = plan.failed_nodes();
     let mut picked: Vec<NodeId> = Vec::new();
     let mut injected: Vec<usize> = plan
@@ -279,8 +401,7 @@ fn job_slowdown(plan: &FaultPlan, faulty_net: &Network<TofuD>) -> f64 {
         job.sendrecv(0, job.n_ranks() - 1, Bytes::kib(32.0));
         job.elapsed().value()
     };
-    let clean = healthy_network();
-    script(faulty_net, &JobFaults::from_plan(plan)) / script(&clean, &JobFaults::none())
+    script(faulty_net, &JobFaults::from_plan(plan)) / script(clean, &JobFaults::none())
 }
 
 fn sched_outcome(ctx: &Ctx, campaign: &Campaign, plan: &FaultPlan) -> SchedOutcome {
@@ -309,16 +430,25 @@ fn sched_outcome(ctx: &Ctx, campaign: &Campaign, plan: &FaultPlan) -> SchedOutco
 }
 
 /// Run one trial: inject, probe, detect, and (optionally) replay the
-/// scheduler. A pure function of `(campaign, plan)` plus cached baselines.
-fn run_trial(ctx: &Ctx, campaign: &Campaign, trial: usize, plan: &FaultPlan) -> TrialOutcome {
-    let net = plan.apply(healthy_network());
-    let mut rng = Pcg32::new(campaign.seed, trial as u64);
-    let map = net.pairwise_bandwidth_map(Bytes::new(PROBE_BYTES), &mut rng);
+/// scheduler. A pure function of `(campaign, plan)` and the baseline; also
+/// returns the messages it priced.
+fn run_trial(
+    ctx: &Ctx,
+    campaign: &Campaign,
+    base: &Baseline,
+    plan: &FaultPlan,
+) -> (TrialOutcome, u64) {
+    // The clone shares the baseline's built pair table.
+    let net = plan.apply(base.net.clone());
+    let faulted = net.faulted_nodes();
+    let mut map = base.map.clone();
+    let mut times = base.times.clone();
+    let priced = reprice_pairs(&mut map, &faulted, map_price(&net))
+        + reprice_pairs(&mut times, &faulted, drain_price(&net));
     let summary = summarize_map(&map);
 
-    let base = baseline_summary(ctx);
     let injected = plan.injected_network_nodes();
-    let (detected, slowdowns) = detect(&base, &summary, injected.len());
+    let (detected, slowdowns) = detect(&base.summary, &summary, injected.len());
     let mut detected_sorted: Vec<usize> = detected.iter().map(|n| n.index()).collect();
     detected_sorted.sort_unstable();
     let injected_sorted: Vec<usize> = injected.iter().map(|n| n.index()).collect();
@@ -332,20 +462,18 @@ fn run_trial(ctx: &Ctx, campaign: &Campaign, trial: usize, plan: &FaultPlan) -> 
     let net_max_slowdown = slowdowns.iter().copied().fold(1.0_f64, f64::max);
     let net_mean_slowdown = finite.iter().sum::<f64>() / finite.len() as f64;
 
-    let drains = alltoall_drains(&net, Bytes::new(DRAIN_BYTES));
-    let base_drains = baseline_drains(ctx);
-    let drain_slowdown = drains
+    let drain_slowdown = drains(&times, &net.failed_nodes())
         .iter()
-        .zip(&base_drains)
+        .zip(&base.drains)
         .map(|(f, b)| f / b)
         .fold(1.0_f64, f64::max);
 
-    let job_slowdown = job_slowdown(plan, &net);
+    let job_slowdown = job_slowdown(plan, &net, &base.net);
     let sched = campaign
         .sched_study
         .then(|| sched_outcome(ctx, campaign, plan));
 
-    TrialOutcome {
+    let outcome = TrialOutcome {
         plan: plan.clone(),
         injected,
         detected,
@@ -355,7 +483,8 @@ fn run_trial(ctx: &Ctx, campaign: &Campaign, trial: usize, plan: &FaultPlan) -> 
         drain_slowdown,
         job_slowdown,
         sched,
-    }
+    };
+    (outcome, priced)
 }
 
 /// A finished campaign: the report table plus per-trial detail.
@@ -367,6 +496,11 @@ pub struct CampaignReport {
     pub table: Table,
     /// Per-trial outcomes, in trial order.
     pub trials: Vec<TrialOutcome>,
+    /// Messages priced ([`Network::message_time`] calls) by the maps and
+    /// drain tables: the baseline's when this run computed them, plus
+    /// every trial's re-pricing. The `mpisim` job and the scheduler replay
+    /// are not counted.
+    pub messages_priced: u64,
 }
 
 impl CampaignReport {
@@ -387,21 +521,25 @@ fn hostnames(nodes: &[NodeId]) -> String {
         .join("+")
 }
 
-/// Run a campaign's trials on up to `jobs` workers. Baselines are computed
-/// into `ctx` first (so trial workers only ever take cache hits), then the
-/// trials fan out through [`run_indexed`]; the resulting table is
-/// byte-identical at any `jobs` / thread count.
+/// Run a campaign's trials on up to `jobs` workers. The healthy baseline is
+/// built once (its tables through `ctx`'s cache) and lent to every trial,
+/// and the scheduler baseline is computed into `ctx` first, so trial
+/// workers only ever take cache hits; the trials fan out through
+/// [`run_indexed`], and the resulting table is byte-identical at any
+/// `jobs` / thread count.
 pub fn run_campaign(ctx: &Ctx, campaign: &Campaign, jobs: usize) -> CampaignReport {
-    let _ = baseline_summary(ctx);
-    let _ = baseline_drains(ctx);
+    let (base, mut messages_priced) = Baseline::new(ctx);
     if campaign.sched_study {
         let _ = baseline_sched_makespan(ctx, campaign.seed);
     }
 
     let plans = campaign.plans();
-    let trials = run_indexed(plans.len(), jobs, |i| {
-        run_trial(ctx, campaign, i, &plans[i])
-    });
+    let (trials, priced): (Vec<TrialOutcome>, Vec<u64>) = run_indexed(plans.len(), jobs, |i| {
+        run_trial(ctx, campaign, &base, &plans[i])
+    })
+    .into_iter()
+    .unzip();
+    messages_priced += priced.iter().sum::<u64>();
 
     let mut table = Table::new(
         format!("fseries_{}", campaign.name),
@@ -449,6 +587,7 @@ pub fn run_campaign(ctx: &Ctx, campaign: &Campaign, jobs: usize) -> CampaignRepo
         name: campaign.name,
         table,
         trials,
+        messages_priced,
     }
 }
 
@@ -500,9 +639,21 @@ fn probe_offsets(n: usize) -> [usize; SCALE_PROBES] {
     [1, n / 2, n / 2 + n / 4]
 }
 
+/// Bandwidth of the probe node `s` sends to `(s + o) % n`; zero through a
+/// failed endpoint (the transfer never completes).
+fn probe_bw(net: &Network<TofuD>, n: usize, s: usize, o: usize) -> f64 {
+    let t = net
+        .message_time(NodeId(s), NodeId((s + o) % n), Bytes::new(PROBE_BYTES))
+        .value();
+    if t.is_finite() {
+        PROBE_BYTES / t
+    } else {
+        0.0
+    }
+}
+
 /// Per-probe bandwidths, `bw[s * SCALE_PROBES + j]` for the probe node `s`
-/// sends to `(s + offsets[j]) % n`. A probe through a failed endpoint
-/// reports zero bandwidth (the transfer never completes).
+/// sends to `(s + offsets[j]) % n`.
 fn probe_battery(net: &Network<TofuD>) -> Vec<f64> {
     let n = net.topology().nodes();
     let offs = probe_offsets(n);
@@ -512,19 +663,28 @@ fn probe_battery(net: &Network<TofuD>) -> Vec<f64> {
         .enumerate()
         .for_each(|(s, row)| {
             for (cell, &o) in row.iter_mut().zip(&offs) {
-                let t = net
-                    .message_time(NodeId(s), NodeId((s + o) % n), Bytes::new(PROBE_BYTES))
-                    .value();
-                if t.is_finite() {
-                    *cell = PROBE_BYTES / t;
-                }
+                *cell = probe_bw(net, n, s, o);
             }
         });
     bw
 }
 
+/// Re-price, in a copy of the healthy battery, the probes each of `nodes`
+/// sends and receives on `net`, and return the number priced.
+fn reprice_probes(bw: &mut [f64], net: &Network<TofuD>, nodes: &[NodeId]) -> u64 {
+    let n = net.topology().nodes();
+    for &f in nodes {
+        for (j, &o) in probe_offsets(n).iter().enumerate() {
+            let (sent, src) = (f.index(), (f.index() + n - o) % n);
+            bw[sent * SCALE_PROBES + j] = probe_bw(net, n, sent, o);
+            bw[src * SCALE_PROBES + j] = probe_bw(net, n, src, o);
+        }
+    }
+    (nodes.len() * 2 * SCALE_PROBES) as u64
+}
+
 /// Each node's median slowdown over its six probes (3 sent + 3 received),
-/// then the top-`k` outliers (ties broken by node id). A node with zero
+/// then the top-`k` outliers ([`top_k`]). A node with zero
 /// faulty bandwidth on a majority of probes medians to `+∞`.
 fn scale_detect(base: &[f64], faulty: &[f64], n: usize, k: usize) -> (Vec<NodeId>, Vec<f64>) {
     let offs = probe_offsets(n);
@@ -543,9 +703,7 @@ fn scale_detect(base: &[f64], faulty: &[f64], n: usize, k: usize) -> (Vec<NodeId
             ratios[SCALE_PROBES]
         })
         .collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| slow[b].total_cmp(&slow[a]).then(a.cmp(&b)));
-    (order.into_iter().take(k).map(NodeId).collect(), slow)
+    (top_k(&slow, k), slow)
 }
 
 /// One scale trial's outcome.
@@ -581,6 +739,9 @@ pub struct ScaleReport {
     pub link_load: (f64, f64),
     /// Mean pairwise hop distance over the whole machine.
     pub mean_hops: f64,
+    /// Probe messages priced ([`Network::message_time`] calls): the
+    /// healthy battery once, then each trial's re-pricing.
+    pub messages_priced: u64,
     /// Per-trial outcomes.
     pub trials: Vec<ScaleTrial>,
     /// The report table (`fseries_scale_<n>`).
@@ -589,7 +750,10 @@ pub struct ScaleReport {
 
 /// Run the machine-scale fault campaign on `topo`: closed-form sweep,
 /// folded-table probe batteries, and `generated_trials` seed-derived fault
-/// plans. Everything is deterministic in `(topo, generated_trials, seed)`.
+/// plans. Each trial starts from a copy of the healthy battery and
+/// re-prices only the probes its faulted nodes send and receive — 36 of
+/// 476,928 at full Fugaku — while the detector still reads every node.
+/// Everything is deterministic in `(topo, generated_trials, seed)`.
 pub fn run_scale_campaign(topo: TofuD, generated_trials: usize, seed: u64) -> ScaleReport {
     use std::time::Instant;
     let n = topo.nodes();
@@ -606,14 +770,23 @@ pub fn run_scale_campaign(topo: TofuD, generated_trials: usize, seed: u64) -> Sc
         .expect("TofuD networks fold their pair table");
     let table_build_ms = t1.elapsed().as_secs_f64() * 1e3;
     let table_bytes = table.memory_bytes();
+    // Re-pricing a trial's faulted nodes is exact only against a battery
+    // with no faults of its own.
+    assert!(
+        base_net.faulted_nodes().is_empty(),
+        "the base network is healthy"
+    );
     let base_bw = probe_battery(&base_net);
+    let mut messages_priced = base_bw.len() as u64;
 
     let trials: Vec<ScaleTrial> = (0..generated_trials)
         .map(|i| {
             let plan =
                 FaultPlan::generate(format!("scale-{i}"), n, &SCALE_SPEC, trial_seed(seed, i));
             // The clone shares the base network's built pair table.
-            let bw = probe_battery(&plan.apply(base_net.clone()));
+            let net = plan.apply(base_net.clone());
+            let mut bw = base_bw.clone();
+            messages_priced += reprice_probes(&mut bw, &net, &net.faulted_nodes());
             let injected = plan.injected_network_nodes();
             let (detected, slow) = scale_detect(&base_bw, &bw, n, injected.len());
             let mut detected_sorted: Vec<usize> = detected.iter().map(|d| d.index()).collect();
@@ -672,6 +845,7 @@ pub fn run_scale_campaign(topo: TofuD, generated_trials: usize, seed: u64) -> Sc
         sweep_ms,
         link_load,
         mean_hops,
+        messages_priced,
         trials,
         table,
     }
@@ -708,7 +882,10 @@ mod tests {
         let ctx = Ctx::new();
         let c = campaign("smoke").expect("registered");
         let plan = paper_plan();
-        let t = run_trial(&ctx, &c, 0, &plan);
+        let (base, _) = Baseline::new(&ctx);
+        let (t, priced) = run_trial(&ctx, &c, &base, &plan);
+        // One faulted node: its row and column, in the map and the drains.
+        assert_eq!(priced, 2 * 2 * 191);
         assert_eq!(t.injected, vec![DEGRADED_NODE]);
         assert_eq!(t.detected, vec![DEGRADED_NODE]);
         assert!(t.fingerprint_hit);
@@ -751,6 +928,9 @@ mod tests {
             want,
             "2,592-node campaign table drifted"
         );
+        // The healthy battery once, then 3 sent + 3 received probes for each
+        // trial's 6 faulted nodes.
+        assert_eq!(report.messages_priced, 2592 * 3 + 2 * 6 * 6);
         for (i, t) in report.trials.iter().enumerate() {
             assert!(t.fingerprint_hit, "trial {i} must fingerprint its nodes");
             assert_eq!(t.injected.len(), 6);
@@ -814,6 +994,124 @@ mod tests {
         // Ties broken by id: the "outliers" of a healthy machine are just
         // the first ids.
         assert_eq!(detected, vec![NodeId(0), NodeId(1), NodeId(2)]);
+    }
+
+    #[test]
+    fn drains_flag_the_degraded_receiver() {
+        let bad = NodeId(18);
+        let net = healthy_network().with_degraded_node(bad, Degradation::receive_fault(0.08));
+        let drains = drains(&pair_table(192, drain_price(&net)), &net.failed_nodes());
+        assert_eq!(drains.len(), 192);
+        let worst = drains
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .unwrap()
+            .0;
+        assert_eq!(worst, bad.index(), "receive-degraded node drains slowest");
+    }
+
+    #[test]
+    fn failed_nodes_never_drain_and_peers_skip_them() {
+        let dead = NodeId(40);
+        let net = healthy_network().with_failed_node(dead);
+        let drains = drains(&pair_table(192, drain_price(&net)), &net.failed_nodes());
+        assert!(drains[dead.index()].is_infinite());
+        // Every live node still drains in finite time (dead peer skipped).
+        for (i, d) in drains.iter().enumerate() {
+            if i != dead.index() {
+                assert!(d.is_finite(), "node {i} must skip the dead peer");
+            }
+        }
+    }
+
+    /// A generated plan with every fault kind (`counts`: degraded, link,
+    /// retransmit, slowdown, failures), plus a second fault on its first
+    /// node and a neutral `Degrade` of 1.0 on node `extra % n`.
+    fn mixed_plan(n: usize, seed: u64, counts: [usize; 5], extra: usize) -> FaultPlan {
+        let [degraded, link_latency, retransmit, slowdown, failures] = counts;
+        let spec = FaultSpec {
+            degraded,
+            link_latency,
+            retransmit,
+            slowdown,
+            failures,
+        };
+        let plan = FaultPlan::generate("mixed", n, &spec, seed);
+        let twice = plan.faults[0].node();
+        plan.with(Fault::Retransmit {
+            node: twice,
+            drop_prob: 0.2,
+            timeout: Time::micros(30.0),
+        })
+        .with(Fault::Degrade {
+            node: NodeId(extra % n),
+            degradation: Degradation::new(1.0, 1.0),
+        })
+    }
+
+    fn assert_bits_eq<'a>(
+        got: impl IntoIterator<Item = &'a f64>,
+        want: impl IntoIterator<Item = &'a f64>,
+        what: &str,
+    ) {
+        for (i, (g, w)) in got.into_iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: cell {i}: {g} vs {w}");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Re-pricing the healthy tables and battery at the faulted nodes
+        /// equals pricing everything again on the faulted network, bit for
+        /// bit: the map and drain tables on CTE-Arm, the probe battery on
+        /// CTE-Arm and on the 2,592-node torus.
+        #[test]
+        fn repricing_matches_a_full_recomputation(
+            seed in 0u64..u64::MAX,
+            counts in (1usize..3, 1usize..3, 1usize..3, 0usize..2, 1usize..3),
+            extra in 0usize..100_000,
+        ) {
+            let counts = [counts.0, counts.1, counts.2, counts.3, counts.4];
+            let base = healthy_network();
+            base.routing_table();
+            let net = mixed_plan(192, seed, counts, extra).apply(base.clone());
+            let faulted = net.faulted_nodes();
+            prop_assert!(!net.failed_nodes().is_empty());
+
+            let mut map = pair_table(192, map_price(&base));
+            reprice_pairs(&mut map, &faulted, map_price(&net));
+            let want = pair_table(192, map_price(&net));
+            assert_bits_eq(map.iter().flatten(), want.iter().flatten(), "map");
+
+            let mut times = pair_table(192, drain_price(&base));
+            reprice_pairs(&mut times, &faulted, drain_price(&net));
+            let want = pair_table(192, drain_price(&net));
+            assert_bits_eq(times.iter().flatten(), want.iter().flatten(), "drain times");
+
+            let torus = TofuD::with_dims([6, 6, 6, 2, 3, 2], [true, true, true, false, true, false]);
+            for base in [base, Network::new(torus, LinkModel::tofud())] {
+                let n = base.topology().nodes();
+                let net = mixed_plan(n, seed, counts, extra).apply(base.clone());
+                let mut bw = probe_battery(&base);
+                let priced = reprice_probes(&mut bw, &net, &net.faulted_nodes());
+                prop_assert_eq!(priced, (net.faulted_nodes().len() * 6) as u64);
+                assert_bits_eq(&bw, &probe_battery(&net), "battery");
+            }
+        }
+
+        /// The partitioned top-k is the full sort's first k.
+        #[test]
+        fn top_k_is_the_head_of_a_full_sort(seed in 0u64..u64::MAX, k in 0usize..40) {
+            let mut rng = simkit::rng::Pcg32::seeded(seed);
+            // Few distinct values, so ties are common.
+            let score: Vec<f64> = (0..32).map(|_| f64::from(rng.next_below(6))).collect();
+            let mut order: Vec<usize> = (0..score.len()).collect();
+            order.sort_by(|&a, &b| score[b].total_cmp(&score[a]).then(a.cmp(&b)));
+            let want: Vec<NodeId> = order.into_iter().take(k).map(NodeId).collect();
+            prop_assert_eq!(top_k(&score, k), want);
+        }
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! draining the node.
 
 use interconnect::faults::FaultPlan;
-use interconnect::network::Network;
-use interconnect::topology::{NodeId, Topology};
-use simkit::units::{Bytes, Time};
+use interconnect::topology::NodeId;
 
 /// The job-visible slice of a fault plan.
 #[derive(Debug, Clone, Default)]
@@ -57,44 +55,10 @@ impl JobFaults {
     }
 }
 
-/// Per-node all-to-all drain times at one message size: for each node, the
-/// time to serialize its sends to — and its receives from — every live
-/// peer, whichever direction is slower. This is the paper's all-to-all
-/// detection signature: a receive-degraded node drains its *receive* side
-/// far slower than its sends, and every healthy node sees one slow peer.
-///
-/// Hard-failed nodes never drain (`+∞`); transfers from live nodes simply
-/// skip dead peers, as MPI would after the fault is acked.
-pub fn alltoall_drains<T: Topology>(net: &Network<T>, bytes: Bytes) -> Vec<f64> {
-    let n = net.topology().nodes();
-    (0..n)
-        .map(|s| {
-            let s = NodeId(s);
-            if net.is_failed(s) {
-                return f64::INFINITY;
-            }
-            let mut send = Time::ZERO;
-            let mut recv = Time::ZERO;
-            for r in 0..n {
-                let r = NodeId(r);
-                if r == s || net.is_failed(r) {
-                    continue;
-                }
-                send += net.message_time(s, r, bytes);
-                recv += net.message_time(r, s, bytes);
-            }
-            send.max(recv).value()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use interconnect::faults::Fault;
-    use interconnect::link::LinkModel;
-    use interconnect::network::Degradation;
-    use interconnect::tofu::TofuD;
 
     fn plan() -> FaultPlan {
         FaultPlan::new("t")
@@ -118,35 +82,5 @@ mod tests {
         assert!(!jf.is_failed(NodeId(5)));
         assert!(!jf.is_empty());
         assert!(JobFaults::none().is_empty());
-    }
-
-    #[test]
-    fn drains_flag_the_degraded_receiver() {
-        let bad = NodeId(18);
-        let net = Network::new(TofuD::cte_arm(), LinkModel::tofud())
-            .with_degraded_node(bad, Degradation::receive_fault(0.08));
-        let drains = alltoall_drains(&net, Bytes::kib(64.0));
-        assert_eq!(drains.len(), 192);
-        let worst = drains
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(worst, bad.index(), "receive-degraded node drains slowest");
-    }
-
-    #[test]
-    fn failed_nodes_never_drain_and_peers_skip_them() {
-        let dead = NodeId(40);
-        let net = Network::new(TofuD::cte_arm(), LinkModel::tofud()).with_failed_node(dead);
-        let drains = alltoall_drains(&net, Bytes::kib(4.0));
-        assert!(drains[dead.index()].is_infinite());
-        // Every live node still drains in finite time (dead peer skipped).
-        for (i, d) in drains.iter().enumerate() {
-            if i != dead.index() {
-                assert!(d.is_finite(), "node {i} must skip the dead peer");
-            }
-        }
     }
 }

@@ -142,3 +142,25 @@ fn campaign_csv_is_byte_identical_across_jobs() {
         assert_eq!(one, csv(8), "{}: --jobs 8 diverged", c.name);
     }
 }
+
+/// Each trial re-prices only its faulted nodes' rows and columns, so the
+/// pricing work is pinned exactly: the two 192 × 191 baseline tables
+/// (73,344 messages) once per fresh context, plus 2 × 2 × 191 = 764 per
+/// network-visible faulted node per trial, at any `--jobs`.
+#[test]
+fn campaign_message_counts_are_pinned_at_any_jobs() {
+    let want = [("smoke", 75_636), ("degraded", 77_928), ("multi", 85_568)];
+    for (name, priced) in want {
+        let c = campaign(name).expect("registered");
+        for jobs in [1, 2, 8] {
+            let report = run_campaign(&Ctx::new(), &c, jobs);
+            assert_eq!(report.messages_priced, priced, "{name} at --jobs {jobs}");
+        }
+    }
+    // A context that already holds the baseline tables prices only the
+    // trials' faulted nodes.
+    let ctx = Ctx::new();
+    let c = campaign("smoke").expect("registered");
+    run_campaign(&ctx, &c, 1);
+    assert_eq!(run_campaign(&ctx, &c, 1).messages_priced, 75_636 - 73_344);
+}
