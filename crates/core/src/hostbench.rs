@@ -5,8 +5,9 @@
 //! rewritten parallel runtime actually delivers on the machine running the
 //! binary: per-kernel GB/s or GFLOP/s with 1 worker thread and with the
 //! full configured pool, plus the resulting speedup, the interconnect fast
-//! path, the structure-aware HPCG engine and the `mpisim` layer under the
-//! Alya study (the app workload that dominates a `regen` pass). The
+//! path, the structure-aware HPCG engine, the `mpisim` layer under the
+//! Alya study (the app workload that dominates a `regen` pass) and the
+//! four fault campaigns, each with the messages it priced. The
 //! snapshot also carries the deterministic CTE-Arm cache-model predictions
 //! (`cachemodel`). The output, rendered through `json::Writer`, is the
 //! committed `BENCH_host.json` snapshot (regenerate it with
@@ -28,6 +29,8 @@
 //! do.
 
 use crate::cachemodel::predict_all;
+use crate::engine::Ctx;
+use crate::faults::{campaigns, run_campaign, run_fugaku_smoke};
 use crate::json::Writer;
 use apps::alya::Alya;
 use arch::cachesim::Prediction;
@@ -205,6 +208,18 @@ pub struct MpisimBench {
     pub noise_counts: (u64, u64),
 }
 
+/// One fault campaign on a fresh [`Ctx`] and one worker thread: wall time
+/// and the exact pricing work behind it.
+#[derive(Debug, Clone)]
+pub struct CampaignBench {
+    /// Campaign name (`smoke`, `degraded`, `multi`, `fugaku-smoke`).
+    pub campaign: &'static str,
+    /// Wall time of the whole campaign on one worker thread, in ms.
+    pub wall_ms_1t: f64,
+    /// The report's `messages_priced`.
+    pub messages_priced: u64,
+}
+
 /// The full host snapshot.
 #[derive(Debug, Clone)]
 pub struct HostBench {
@@ -224,6 +239,8 @@ pub struct HostBench {
     pub hpcg: HpcgBench,
     /// The `mpisim` layer under Alya's Fig. 8 sweep.
     pub mpisim: MpisimBench,
+    /// The F-series campaigns, then the full-Fugaku smoke.
+    pub faults: Vec<CampaignBench>,
     /// Cache-model predictions for every `cachemodel` registry kernel on
     /// CTE-Arm. Deterministic — no host measurement involved.
     pub cache: Vec<Prediction>,
@@ -579,6 +596,28 @@ pub fn run_mpisim_bench() -> MpisimBench {
     }
 }
 
+/// Time every fault campaign on one worker thread, each run on a fresh
+/// [`Ctx`] so the baselines are computed, not served from memory.
+pub fn run_faults_bench() -> Vec<CampaignBench> {
+    let timed = |campaign: &'static str, run: &dyn Fn() -> u64| CampaignBench {
+        campaign,
+        messages_priced: run(),
+        wall_ms_1t: with_pool(1, || {
+            calibrated_best(|| {
+                std::hint::black_box(run());
+            })
+        }) * 1e3,
+    };
+    let mut rows: Vec<CampaignBench> = campaigns()
+        .iter()
+        .map(|c| timed(c.name, &|| run_campaign(&Ctx::new(), c, 1).messages_priced))
+        .collect();
+    rows.push(timed("fugaku-smoke", &|| {
+        run_fugaku_smoke().messages_priced
+    }));
+    rows
+}
+
 /// Measure every kernel at 1 thread and at the configured pool width.
 pub fn run_host_bench() -> HostBench {
     let pool_threads = rayon::current_num_threads();
@@ -600,6 +639,7 @@ pub fn run_host_bench() -> HostBench {
         network: run_network_bench(pool_threads),
         hpcg: run_hpcg_bench(pool_threads),
         mpisim: run_mpisim_bench(),
+        faults: run_faults_bench(),
         cache: cte_arm_cache(),
     }
 }
@@ -706,6 +746,11 @@ impl HostBench {
                     .int("noise_drawn", mp.noise_counts.0)
                     .int("noise_evaluated", mp.noise_counts.1);
             });
+            w.array("faults", &self.faults, |w, f| {
+                w.str("campaign", f.campaign)
+                    .num("wall_ms_1_thread", f.wall_ms_1t, 1)
+                    .int("messages_priced", f.messages_priced);
+            });
             w.array("cache", &self.cache, |w, p| {
                 w.str("kernel", &p.kernel)
                     .int("dram_bytes", p.sim.dram_bytes())
@@ -794,6 +839,18 @@ mod tests {
                 rank_steps: 4_518_336,
                 noise_counts: (4_518_336, 423_784),
             },
+            faults: vec![
+                CampaignBench {
+                    campaign: "smoke",
+                    wall_ms_1t: 12.34,
+                    messages_priced: 75_636,
+                },
+                CampaignBench {
+                    campaign: "fugaku-smoke",
+                    wall_ms_1t: 41.0,
+                    messages_priced: 477_000,
+                },
+            ],
             cache: vec![],
         }
     }
@@ -862,6 +919,26 @@ mod tests {
             let keys = section.matches("\": ").count();
             assert_eq!(keys, 6, "the section key and five columns:\n{section}");
         }
+    }
+
+    #[test]
+    fn faults_section_has_a_row_per_campaign() {
+        let hb = sample(4);
+        assert_eq!(field(&hb, "faults", "campaign").as_str(), Some("smoke"));
+        assert_eq!(field(&hb, "faults", "wall_ms_1_thread"), Value::Num(12.3));
+        assert_eq!(
+            field(&hb, "faults", "messages_priced"),
+            Value::Num(75_636.0)
+        );
+        let v = json::parse(&hb.to_json()).expect("the snapshot parses");
+        let rows = v.get("faults").and_then(Value::as_array).expect("rows");
+        let names: Vec<&str> = rows
+            .iter()
+            .filter_map(|r| r.get("campaign")?.as_str())
+            .collect();
+        assert_eq!(names, ["smoke", "fugaku-smoke"]);
+        let priced = rows[1].get("messages_priced").cloned();
+        assert_eq!(priced, Some(Value::Num(477_000.0)));
     }
 
     #[test]
