@@ -146,28 +146,6 @@ pub fn figure5_cached(
     cache.get_or_persistent(key, || figure5(seed, pairs_per_size))
 }
 
-impl serde::bin::Encode for PairMapSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.mean.encode(out);
-        self.rx_means.encode(out);
-        self.tx_means.encode(out);
-    }
-}
-
-impl serde::bin::Decode for PairMapSummary {
-    fn decode(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::DecodeError> {
-        Ok(PairMapSummary {
-            mean: f64::decode(r)?,
-            rx_means: Vec::<f64>::decode(r)?,
-            tx_means: Vec::<f64>::decode(r)?,
-        })
-    }
-}
-
-impl simkit::store::StoreValue for PairMapSummary {
-    const TYPE_NAME: &'static str = "microbench::PairMapSummary";
-}
-
 impl serde::bin::Encode for BandwidthDistribution {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.size as u64).encode(out);

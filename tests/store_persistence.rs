@@ -11,7 +11,7 @@
 //!   reverting the hash brings the old results back.
 
 use apps::common::AppRun;
-use microbench::network::{BandwidthDistribution, PairMapSummary};
+use microbench::network::BandwidthDistribution;
 use proptest::prelude::*;
 use serde::bin::{decode_from_slice, encode_to_vec, Decode, Encode};
 use simkit::cache::{Cache, CacheKey};
@@ -104,10 +104,6 @@ proptest! {
         assert_bin_roundtrip(
             &hpcg::HpcgResult { gflops: a, fraction_of_peak: b, time: Time::seconds(c) },
             "HpcgResult",
-        );
-        assert_bin_roundtrip(
-            &PairMapSummary { mean: a, rx_means: vec![b, c], tx_means: vec![d] },
-            "PairMapSummary",
         );
     }
 
